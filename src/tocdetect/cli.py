@@ -29,17 +29,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tocdetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, jobs=False, fmt=None):
+    def add_common(p, fmt=None):
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        if config:
-            p.add_argument("--config", metavar="PATH", help="feature config key=value file")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="parallel per-page extraction workers")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -47,28 +49,29 @@ def _build_parser() -> _Parser:
     p.add_argument("document", metavar="DOC.xml")
     p.add_argument("--labels", metavar="PATH",
                    help="page labels file: one '<page-index> <TOC|NON-TOC>' per line")
-    add_common(p, config=True, jobs=True)
+    p.add_argument("--config", metavar="PATH", help="feature config key=value file")
+    add_common(p)
 
     p = sub.add_parser("train", help="learn a decision tree from a labeled CSV")
     p.add_argument("training", metavar="TRAIN.csv")
     p.add_argument("--out", metavar="PATH", required=True, help="model file to write")
     p.add_argument("--config", metavar="PATH")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-rows", type=int, default=1)
+    p.add_argument("--max-depth", type=_positive_int, default=None)
+    p.add_argument("--min-rows", type=_positive_int, default=1)
 
     p = sub.add_parser("predict", help="detect TOC pages in a document")
     p.add_argument("model", metavar="MODEL")
     p.add_argument("document", metavar="DOC.xml")
     p.add_argument("--prefix", type=float, default=0.3,
                    help="leading fraction of pages to scan (default 0.3)")
-    add_common(p, config=True, jobs=True, fmt=("text", "json"))
+    add_common(p, fmt=("text", "json"))
 
     p = sub.add_parser("eval", help="evaluate a model on labeled data")
     p.add_argument("paths", nargs="+", metavar="PATH",
                    help="MODEL TEST.csv, or TRAIN.csv with --loo")
     p.add_argument("--loo", action="store_true", help="leave-one-out cross-validation")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-rows", type=int, default=1)
+    p.add_argument("--max-depth", type=_positive_int, default=None)
+    p.add_argument("--min-rows", type=_positive_int, default=1)
     add_common(p, fmt=("text", "json"))
 
     p = sub.add_parser("export", help="render a model as text or DOT")
@@ -170,18 +173,12 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _config_from(args) -> FeatureConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_feature_config(args.config)
     return FeatureConfig()
 
 
-def _check_jobs(args):
-    if getattr(args, "jobs", 1) < 1:
-        raise UsageError("--jobs must be >= 1")
-
-
 def _cmd_extract(args) -> bytes:
-    _check_jobs(args)
     cfg = _config_from(args)
     doc = docmodel.parse_document(_read_bytes(args.document))
     labels = _load_labels(args.labels) if args.labels else None
@@ -194,10 +191,6 @@ def _cmd_extract(args) -> bytes:
 
 
 def _cmd_train(args) -> bytes:
-    if args.min_rows < 1:
-        raise UsageError("--min-rows must be >= 1")
-    if args.max_depth is not None and args.max_depth < 1:
-        raise UsageError("--max-depth must be >= 1")
     cfg = _config_from(args)
     data = dataset_mod.load_csv(_read_bytes(args.training))
     model = tree.learn(data, max_depth=args.max_depth, min_rows=args.min_rows, config=cfg)
@@ -205,21 +198,17 @@ def _cmd_train(args) -> bytes:
 
 
 def _cmd_predict(args) -> bytes:
-    _check_jobs(args)
     if not 0 < args.prefix <= 1:
         raise UsageError(f"--prefix must be in (0, 1], got {args.prefix}")
-    cfg = _config_from(args)
     model = _read_model(args.model)
     doc = docmodel.parse_document(_read_bytes(args.document))
-    result = pipeline.detect(doc, model, cfg, prefix_fraction=args.prefix, jobs=args.jobs)
+    result = pipeline.detect(doc, model, prefix_fraction=args.prefix)
     if args.format == "json":
         return (json.dumps(result.to_json_dict(), indent=2) + "\n").encode("utf-8")
     return result.to_text().encode("utf-8")
 
 
 def _cmd_eval(args) -> bytes:
-    if args.min_rows < 1:
-        raise UsageError("--min-rows must be >= 1")
     if args.loo:
         if len(args.paths) != 1:
             raise UsageError("--loo takes exactly one CSV path")

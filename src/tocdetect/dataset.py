@@ -70,14 +70,11 @@ def load_csv(data: bytes) -> Dataset:
         feature_cols = feature_cols[1:]
     else:
         skip_page = False
-    for name in feature_cols:
-        if name not in schema.CANONICAL_COLUMNS:
-            raise UnknownColumn(f"not a canonical feature column: {name!r}")
+    Dataset(columns=tuple(feature_cols), rows=())  # column rules, before parse_value looks them up
 
     rows = []
-    for r, cells in enumerate(reader, start=1):
-        if not cells:
-            continue
+    # rows are numbered as data rows (blank lines skipped), as Dataset numbers them
+    for r, cells in enumerate(filter(None, reader), start=1):
         if len(cells) != len(header):
             raise UnknownColumn(f"row {r} has {len(cells)} cells for {len(header)} columns")
         if skip_page:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import codecs
 import logging
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
@@ -32,18 +33,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Token:
+    """One token; parse_document guarantees trimmed, non-empty text and a finite size >= 0."""
     text: str
     font_family: str = "unknown"
     font_size: float = 0.0  # points; 0.0 means unknown
     bold: bool = False
     italic: bool = False
     link_target: str | None = None
-
-    def __post_init__(self):
-        if not self.text or self.text != self.text.strip():
-            raise SchemaViolation("token text must be non-empty and trimmed")
-        if self.font_size < 0.0:
-            raise SchemaViolation(f"negative font size {self.font_size}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,8 @@ def _parse_token(elem: ET.Element, path: str) -> Token:
         size = float(raw_size)
     except ValueError:
         raise SchemaViolation(f"size={raw_size!r} is not a decimal", path)
-    if size < 0.0:
-        raise SchemaViolation(f"negative size {raw_size}", path)
+    if not (math.isfinite(size) and size >= 0.0):
+        raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal", path)
     return Token(
         text=text,
         font_family=elem.get("font", "unknown"),

@@ -8,7 +8,6 @@ confusion matrices against gold labels, with TOC as the positive class.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,21 +116,18 @@ def detect(
     model: TrainedModel,
     cfg: FeatureConfig | None = None,
     prefix_fraction: float = 0.3,
-    jobs: int = 1,
 ) -> DetectionResult:
-    """Classify the leading pages of a document; TOC pages in ascending order."""
+    """Classify the leading pages of a document; TOC pages in ascending order.
+
+    cfg defaults to the feature config the model was trained with.
+    """
     if not 0 < prefix_fraction <= 1:
         raise ValueError(f"prefix_fraction {prefix_fraction} outside (0, 1]")
-    cfg = cfg or FeatureConfig()
+    cfg = cfg or model.config_echo
     pages = doc.pages[: scan_count(len(doc.pages), prefix_fraction)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vectors = list(pool.map(lambda p: extract_features(p, cfg), pages))
-    else:
-        vectors = [extract_features(page, cfg) for page in pages]
     toc_pages = []
-    for page, vector in zip(pages, vectors):
-        label, counts = classify(model, vector.as_dict())
+    for page in pages:
+        label, counts = classify(model, extract_features(page, cfg).as_dict())
         if label is ClassLabel.TOC:
             toc_pages.append((page.index, counts))
     return DetectionResult(

@@ -75,7 +75,7 @@ def parse_label(text: str, row=None) -> ClassLabel:
 
 
 def parse_value(column: str, text: str, row=None):
-    """Parse one CSV cell per its column's kind, validating range constraints."""
+    """Parse one CSV cell into its column's typed value; range rules are check_value's."""
     kind = CANONICAL_COLUMNS[column]
     text = text.strip()
     if kind is Kind.BOOL:
@@ -91,21 +91,11 @@ def parse_value(column: str, text: str, row=None):
         if column == "title_term_style" and value not in STYLE_LEVELS:
             raise DataTypeError(f"unknown style level {text!r}", row=row, column=column)
         return value
-    if kind is Kind.INT:
-        try:
-            value = int(text)
-        except ValueError:
-            raise DataTypeError(f"expected integer, got {text!r}", row=row, column=column)
-        if value < 0:
-            raise DataTypeError(f"negative count {value}", row=row, column=column)
-        return value
     try:
-        value = float(text)
+        return int(text) if kind is Kind.INT else float(text)
     except ValueError:
-        raise DataTypeError(f"expected real, got {text!r}", row=row, column=column)
-    if column in UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
-        raise DataTypeError(f"value {value} outside [0, 1]", row=row, column=column)
-    return value
+        expected = "integer" if kind is Kind.INT else "real"
+        raise DataTypeError(f"expected {expected}, got {text!r}", row=row, column=column)
 
 
 def check_value(column: str, value, row=None):
@@ -127,6 +117,13 @@ def check_value(column: str, value, row=None):
             raise DataTypeError(f"expected real, got {value!r}", row=row, column=column)
         if column in UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
             raise DataTypeError(f"value {value} outside [0, 1]", row=row, column=column)
+    return value
+
+
+def canonical_value(column: str, value):
+    """A checked value as trees store it: categorical levels normalized, others unchanged."""
+    if CANONICAL_COLUMNS[column] is Kind.CATEGORICAL:
+        return normalize_categorical(value)
     return value
 
 

@@ -190,7 +190,10 @@ def learn(
         raise ValueError("min_rows must be >= 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
+    rows = [
+        ({c: schema.canonical_value(c, v) for c, v in zip(data.columns, values)}, label)
+        for values, label in data.rows
+    ]
     root = _build(rows, list(data.columns), 0, max_depth, min_rows)
     counts = data.label_counts()
     summary = {
@@ -224,16 +227,18 @@ def aggregate_counts(node: TreeNode) -> Counts:
 def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
     """Route a feature vector through the tree; returns (label, leaf counts).
 
-    A categorical value unseen at a node falls back to that node's majority
+    Categorical values match branches in the schema's normalized form. A
+    categorical value unseen at a node falls back to that node's majority
     label with the node's aggregate counts.
     """
+    values = {}
     for column in model.columns:
         if column not in vector:
             raise MissingFeature(column)
-        schema.check_value(column, vector[column])
+        values[column] = schema.canonical_value(column, schema.check_value(column, vector[column]))
     node = model.root
     while not isinstance(node, Leaf):
-        value = vector[node.feature]
+        value = values[node.feature]
         if isinstance(node, NumericNode):
             node = node.le if value <= node.threshold else node.gt
         else:
@@ -348,39 +353,52 @@ def save_model(model: TrainedModel) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _node_from_json(obj) -> TreeNode:
+def _node_from_json(obj, columns) -> TreeNode:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise CorruptModel(f"bad node object: {obj!r}")
     (tag, body), = obj.items()
     if tag == "leaf":
-        counts = body["counts"]
-        node = Leaf((int(counts["TOC"]), int(counts["NON-TOC"])))
+        counts = (body["counts"]["TOC"], body["counts"]["NON-TOC"])
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise CorruptModel(f"leaf counts {counts!r} are not non-negative integers")
+        node = Leaf(counts)
         if str(node.label) != body["label"]:
             raise CorruptModel("leaf label inconsistent with counts")
         return node
+    if tag not in ("num", "cat"):
+        raise CorruptModel(f"unknown node tag {tag!r}")
+    feature = body["feature"]
+    if feature not in columns:
+        raise CorruptModel(f"node on feature {feature!r} outside the model columns")
+    kind = schema.CANONICAL_COLUMNS[feature]
+    if (tag == "num") != schema.is_numeric(kind):
+        raise CorruptModel(f"{tag!r} node on {kind.value} feature {feature!r}")
+    majority = schema.parse_label(body["majority"])
     if tag == "num":
+        threshold = body["threshold"]
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise CorruptModel(f"threshold {threshold!r} is not a finite number")
         return NumericNode(
-            feature=body["feature"],
-            threshold=float(body["threshold"]),
-            le=_node_from_json(body["le"]),
-            gt=_node_from_json(body["gt"]),
-            majority=schema.parse_label(body["majority"]),
+            feature=feature,
+            threshold=float(threshold),
+            le=_node_from_json(body["le"], columns),
+            gt=_node_from_json(body["gt"], columns),
+            majority=majority,
         )
-    if tag == "cat":
-        feature = body["feature"]
-        branches = {
-            schema.parse_value(feature, key): _node_from_json(child)
-            for key, child in body["branches"].items()
-        }
-        return CategoricalNode(feature=feature, branches=branches, majority=schema.parse_label(body["majority"]))
-    raise CorruptModel(f"unknown node tag {tag!r}")
+    branches = {
+        schema.parse_value(feature, key): _node_from_json(child, columns)
+        for key, child in body["branches"].items()
+    }
+    if not branches:
+        raise CorruptModel(f"categorical node on {feature!r} has no branches")
+    return CategoricalNode(feature=feature, branches=branches, majority=majority)
 
 
 def load_model(data: bytes) -> TrainedModel:
-    """Inverse of save_model; raises CorruptModel / UnsupportedVersion."""
+    """Inverse of save_model; raises CorruptModel for any invalid tree, or UnsupportedVersion."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("top-level JSON value is not an object")
@@ -397,8 +415,8 @@ def load_model(data: bytes) -> TrainedModel:
         for column in columns:
             if column not in schema.CANONICAL_COLUMNS:
                 raise CorruptModel(f"unknown column {column!r}")
-        root = _node_from_json(doc["root"])
+        root = _node_from_json(doc["root"], columns)
         summary = doc["summary"]
-    except (KeyError, TypeError, ValueError, DataTypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, DataTypeError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
     return TrainedModel(root=root, columns=columns, training_summary=summary, config_echo=cfg)

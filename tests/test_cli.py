@@ -104,6 +104,14 @@ def test_eval_loo_rejects_two_paths(fixture_csv, model_file, capsys):
     assert run(["eval", "--loo", str(model_file), str(fixture_csv)]) == 1
 
 
+@pytest.mark.parametrize("argv", [["train", "CSV", "--out", "m.json"], ["eval", "--loo", "CSV"]])
+@pytest.mark.parametrize("flag", ["--max-depth", "--min-rows"])
+def test_learner_limits_below_one_are_usage_errors(fixture_csv, capsys, argv, flag):
+    argv = [str(fixture_csv) if arg == "CSV" else arg for arg in argv]
+    assert run([*argv, flag, "0"]) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_train_is_deterministic(tmp_path, fixture_csv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["train", str(fixture_csv), "--out", str(a)]) == 0
@@ -148,6 +156,78 @@ def test_predict_corrupt_model_exit_3(tmp_path, capsys):
     corrupt.write_text("{ not json")
     assert run(["predict", str(corrupt), str(xml)]) == 3
     assert "corrupt-model" in capsys.readouterr().err
+
+
+_LEAF = '{"leaf": {"label": "TOC", "counts": {"TOC": 1, "NON-TOC": 0}}}'
+
+
+def _deep_root(depth):
+    # built as text: the json module cannot serialize a tree this deep
+    node = ('{"num": {"feature": "line_start_number_frequency", "threshold": 0.5, '
+            '"majority": "TOC", "gt": ' + _LEAF + ', "le": ')
+    return node * depth + _LEAF + "}}" * depth
+
+
+def _set_root_feature(feature):
+    def mutate(model):
+        model["root"]["num"]["feature"] = feature
+    return mutate
+
+
+def _set_leaf_counts(model):
+    model["root"]["num"]["le"]["leaf"]["counts"] = {"TOC": -1, "NON-TOC": 0}
+
+
+def _set_nan_threshold(model):
+    model["root"]["num"]["threshold"] = float("nan")
+
+
+def _set_deep_root(model):
+    model["root"] = "DEEP"  # swapped for a 3000-deep tree after serializing
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_root_feature("no_such_feature"),
+    _set_root_feature("title_term_style"),  # numeric test on a categorical column
+    _set_root_feature("section_term_frequency"),  # canonical, but not a model column
+    _set_leaf_counts,
+    _set_nan_threshold,
+    _set_deep_root,
+], ids=["unknown-feature", "numeric-on-categorical", "outside-columns",
+        "negative-counts", "nan-threshold", "3000-deep"])
+def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate):
+    xml = tmp_path / "book.xml"
+    xml.write_bytes(write_document_xml(synthetic_book()))
+    model = json.loads(model_file.read_bytes())
+    mutate(model)
+    model_file.write_text(json.dumps(model).replace('"DEEP"', _deep_root(3000)))
+    capsys.readouterr()
+    assert run(["predict", str(model_file), str(xml), "--prefix", "1.0"]) == 3
+    assert "error[corrupt-model]" in capsys.readouterr().err
+
+
+def test_predict_uses_model_feature_config(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_text("contains_title_term,label\nYES,TOC\nNO,NON-TOC\n")
+    conf = tmp_path / "features.conf"
+    conf.write_text("title_terms = summary\n")
+    model = tmp_path / "model.json"
+    assert run(["train", str(train), "--config", str(conf), "--out", str(model)]) == 0
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(write_document_xml(doc([page([["Summary"]])])))
+    assert run(["predict", str(model), str(xml), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [entry["page"] for entry in payload["toc_pages"]] == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "m.json", "d.xml", "--jobs", "2"],
+    ["predict", "m.json", "d.xml", "--config", "f.conf"],
+    ["extract", "d.xml", "--jobs", "2"],
+])
+def test_removed_options_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    assert "error[usage]" in capsys.readouterr().err
 
 
 # -- export / fixture -----------------------------------------------------------------

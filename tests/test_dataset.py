@@ -72,6 +72,13 @@ def test_load_csv_real_out_of_range():
         load_csv(b"section_term_frequency,label\n1.5,TOC\n")
 
 
+def test_load_csv_error_rows_count_data_rows():
+    with pytest.raises(DataTypeError) as exc:
+        load_csv(b"contextual_term_count,label\n\n1,TOC\n-2,TOC\n")
+    assert exc.value.row == 2
+    assert exc.value.column == "contextual_term_count"
+
+
 def test_load_csv_bad_style_level():
     with pytest.raises(DataTypeError):
         load_csv(b"title_term_style,label\nSHINY,TOC\n")

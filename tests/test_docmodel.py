@@ -68,10 +68,11 @@ def test_non_increasing_page_indices():
     assert "page[2]" in str(exc.value)
 
 
-def test_negative_size_rejected_with_path():
+@pytest.mark.parametrize("size", ["-1", "nan", "inf"])
+def test_negative_size_rejected_with_path(size):
     data = (
         b'<document id="d"><page index="1"><line>'
-        b'<token size="-1">x</token></line></page></document>'
+        b'<token size="%s">x</token></line></page></document>' % size.encode()
     )
     with pytest.raises(SchemaViolation) as exc:
         parse_document(data)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tocdetect.dataset import Dataset, table1_fixture
+from tocdetect.dataset import Dataset, load_csv, table1_fixture
 from tocdetect.errors import ColumnMismatch, EmptyDataset
 from tocdetect.features import FeatureConfig
 from tocdetect.pipeline import (
@@ -18,7 +18,7 @@ from tocdetect.pipeline import (
 from tocdetect.schema import ClassLabel
 from tocdetect.tree import Leaf, TrainedModel, learn
 
-from helpers import doc, page
+from helpers import canonical_toc_page, doc, page
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 CFG = FeatureConfig()
@@ -65,10 +65,11 @@ def test_detect_rejects_bad_fraction():
         detect(plain_doc(2), constant_model(NON), CFG, prefix_fraction=0.0)
 
 
-def test_detect_parallel_matches_serial():
-    d = plain_doc(12)
-    model = constant_model(TOC)
-    assert detect(d, model, CFG, 1.0, jobs=4) == detect(d, model, CFG, 1.0, jobs=1)
+def test_detect_matches_normalized_font_class_branch():
+    # extraction keeps the raw font name; the CSV-trained branch key is normalized
+    data = load_csv(b"title_term_font_class,label\nTIMES_NEW_ROMAN,TOC\nARIAL,NON-TOC\n")
+    result = detect(doc([canonical_toc_page()]), learn(data), CFG, prefix_fraction=1.0)
+    assert result.toc_pages == ((1, (1, 0)),)
 
 
 def test_scan_count_exact_arithmetic():

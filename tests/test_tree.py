@@ -285,6 +285,16 @@ def test_loaded_model_classifies_identically():
         assert classify(loaded, vector) == classify(model, vector)
 
 
+def test_raw_categorical_values_learn_normalized_branches():
+    data = make_dataset(
+        ["title_term_font_class"], [("Times New Roman", TOC), ("Arial", NON)]
+    )
+    model = learn(data)
+    assert set(model.root.branches) == {"TIMES_NEW_ROMAN", "ARIAL"}
+    assert load_model(save_model(model)) == model
+    assert classify(model, {"title_term_font_class": "times-new-roman"}) == (TOC, (1, 0))
+
+
 def test_truncated_model_is_corrupt():
     data = save_model(learn(table1_fixture()))
     with pytest.raises(CorruptModel):
