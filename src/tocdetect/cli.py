@@ -85,6 +85,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_lines(path: str) -> list:
+    """(line number, text) of each non-blank line of a UTF-8 file; '#' starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            numbered = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, start=1)]
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+    return [(n, line) for n, line in numbered if line]
+
+
 def load_feature_config(path: str) -> FeatureConfig:
     """Parse a key=value config file overriding feature extraction defaults.
 
@@ -92,31 +102,27 @@ def load_feature_config(path: str) -> FeatureConfig:
     max_page_number_digits (integer). '#' starts a comment.
     """
     kwargs = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "title_terms":
-                kwargs["title_terms"] = tuple(
-                    " ".join(item.lower().split())
-                    for item in value.split(",") if item.strip()
-                )
-            elif key == "section_keywords":
-                kwargs["section_keywords"] = frozenset(
-                    item.strip().lower() for item in value.split(",") if item.strip()
-                )
-            elif key == "max_page_number_digits":
-                try:
-                    kwargs["max_page_number_digits"] = int(value)
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: not an integer: {value!r}")
-            else:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, line in _read_lines(path):
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "title_terms":
+            kwargs["title_terms"] = tuple(
+                " ".join(item.lower().split())
+                for item in value.split(",") if item.strip()
+            )
+        elif key == "section_keywords":
+            kwargs["section_keywords"] = frozenset(
+                item.strip().lower() for item in value.split(",") if item.strip()
+            )
+        elif key == "max_page_number_digits":
+            try:
+                kwargs["max_page_number_digits"] = int(value)
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: not an integer: {value!r}")
+        else:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
     try:
         return FeatureConfig(**kwargs)
     except ValueError as exc:
@@ -125,19 +131,15 @@ def load_feature_config(path: str) -> FeatureConfig:
 
 def _load_labels(path: str) -> dict:
     labels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"{path}:{lineno}: expected '<page-index> <label>'")
-            try:
-                index = int(parts[0])
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad page index {parts[0]!r}")
-            labels[index] = parse_label(parts[1])
+    for lineno, line in _read_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise UsageError(f"{path}:{lineno}: expected '<page-index> <label>'")
+        try:
+            index = int(parts[0])
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: bad page index {parts[0]!r}")
+        labels[index] = parse_label(parts[1])
     return labels
 
 

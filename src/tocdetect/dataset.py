@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import schema
 from .errors import (
+    DatasetError,
     EmptyDataset,
     MissingLabelColumn,
     UnknownColumn,
@@ -52,14 +53,24 @@ class Dataset:
         return self.columns.index(name)
 
 
-def load_csv(data: bytes) -> Dataset:
-    """Parse dataset CSV bytes; raises UnknownColumn / MissingLabelColumn /
-    DataTypeError / EmptyDataset."""
-    text = data.decode("utf-8-sig")
+def _records(text: str):
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
+
+
+def load_csv(data: bytes) -> Dataset:
+    """Parse dataset CSV bytes; raises UnknownColumn / MissingLabelColumn /
+    DataTypeError / EmptyDataset, or DatasetError for bytes that are not UTF-8 CSV."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"CSV is not UTF-8: {exc}") from exc
+    reader = _records(text)
+    header = next(reader, None)
+    if header is None:
         raise EmptyDataset("no header row")
     header = [cell.strip() for cell in header]
     if not header or header[-1] != "label":

@@ -106,7 +106,7 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
         xml_bytes = xml_bytes[len(codecs.BOM_UTF8):]
     try:
         root = ET.fromstring(xml_bytes)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: unusable encoding="..."
         raise MalformedXml(str(exc)) from exc
 
     if root.tag != "document":

@@ -40,13 +40,23 @@ class FeatureConfig:
     max_page_number_digits: int = 4
 
     def __post_init__(self):
-        if not self.title_terms:
-            raise ValueError("title_terms must be non-empty")
+        # model files pass their JSON values straight in, so types are checked too
+        if not isinstance(self.title_terms, (list, tuple)) or not self.title_terms:
+            raise ValueError(f"title_terms must be a non-empty list, got {self.title_terms!r}")
         for phrase in self.title_terms:
-            if phrase != " ".join(phrase.lower().split()) or not phrase:
-                raise ValueError(f"title term {phrase!r} must be lowercase, single-spaced")
-        if self.max_page_number_digits < 1:
-            raise ValueError("max_page_number_digits must be >= 1")
+            if not isinstance(phrase, str) or not phrase or phrase != " ".join(phrase.lower().split()):
+                raise ValueError(f"title term {phrase!r} must be a lowercase, single-spaced str")
+        if not isinstance(self.section_keywords, (list, tuple, set, frozenset)):
+            raise ValueError(f"section_keywords must be a collection, got {self.section_keywords!r}")
+        for keyword in self.section_keywords:
+            # extraction lowercases tokens, so any other keyword could never match
+            if not isinstance(keyword, str) or not keyword or keyword != keyword.lower():
+                raise ValueError(f"section keyword {keyword!r} must be a lowercase str")
+        if type(self.max_page_number_digits) is not int or self.max_page_number_digits < 1:
+            raise ValueError(
+                f"max_page_number_digits must be an int >= 1, got {self.max_page_number_digits!r}")
+        object.__setattr__(self, "title_terms", tuple(self.title_terms))
+        object.__setattr__(self, "section_keywords", frozenset(self.section_keywords))
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,6 @@ CANONICAL_COLUMNS = {
     "outgoing_link_frequency": Kind.REAL,
 }
 
-#: Real columns constrained to [0, 1].
-UNIT_INTERVAL_COLUMNS = frozenset(
-    name for name, kind in CANONICAL_COLUMNS.items() if kind is Kind.REAL
-)
-
 _CANONICAL_INDEX = {name: i for i, name in enumerate(CANONICAL_COLUMNS)}
 
 
@@ -115,7 +110,7 @@ def check_value(column: str, value, row=None):
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataTypeError(f"expected real, got {value!r}", row=row, column=column)
-        if column in UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= 1.0:  # every real feature is a fraction or a position
             raise DataTypeError(f"value {value} outside [0, 1]", row=row, column=column)
     return value
 

@@ -31,8 +31,8 @@ Counts = tuple[int, int]  # (n_TOC, n_NON_TOC)
 
 
 @dataclass(frozen=True)
-class Leaf:
-    counts: Counts
+class _Node:
+    counts: Counts  # class counts of the training rows that reached this node
 
     @property
     def label(self) -> ClassLabel:
@@ -41,19 +41,22 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class NumericNode:
+class Leaf(_Node):
+    pass
+
+
+@dataclass(frozen=True)
+class NumericNode(_Node):
     feature: str
     threshold: float
     le: "TreeNode"  # value <= threshold
     gt: "TreeNode"
-    majority: ClassLabel
 
 
 @dataclass(frozen=True)
-class CategoricalNode:
+class CategoricalNode(_Node):
     feature: str
     branches: dict  # value -> TreeNode, insertion-ordered by serialized value
-    majority: ClassLabel
 
 
 TreeNode = Union[Leaf, NumericNode, CategoricalNode]
@@ -92,20 +95,15 @@ def _count(rows) -> Counts:
     return (c[ClassLabel.TOC], c[ClassLabel.NON_TOC])
 
 
-def _majority(counts: Counts) -> ClassLabel:
-    return ClassLabel.TOC if counts[0] >= counts[1] else ClassLabel.NON_TOC
-
-
 def _partition_gain(parent_entropy: float, total: int, groups) -> float:
     child = sum(len(g) / total * entropy(_count(g)) for g in groups)
     return parent_entropy - child
 
 
-def best_split(rows, columns) -> Optional[SplitCandidate]:
-    """Highest-gain split over the given columns, or None if no gain > 0.
+def _search(rows, columns):
+    """best_split, with the winning partition: (SplitCandidate, partition) or None.
 
-    rows: sequence of (value mapping, ClassLabel). Ties break by canonical
-    column order, then by smaller threshold.
+    The partition is (le rows, gt rows), or a dict value -> rows in serialized value order.
     """
     total = len(rows)
     parent = entropy(_count(rows))
@@ -120,10 +118,9 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
                 le = [r for r in rows if r[0][column] <= t]
                 gt = [r for r in rows if r[0][column] > t]
                 gain = _partition_gain(parent, total, (le, gt))
-                candidate = SplitCandidate(column, t, gain)
                 key = (-gain, schema.canonical_index(column), t)
                 if gain > 0 and (best_key is None or key < best_key):
-                    best, best_key = candidate, key
+                    best, best_key = (SplitCandidate(column, t, gain), (le, gt)), key
         else:
             groups = {}
             for values, label in rows:
@@ -132,16 +129,25 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
                 continue
             # sum child entropies in value order so row permutations cannot
             # perturb the float gain
-            ordered = [
-                groups[v]
+            groups = {
+                v: groups[v]
                 for v in sorted(groups, key=lambda v: schema.format_value(column, v))
-            ]
-            gain = _partition_gain(parent, total, ordered)
-            candidate = SplitCandidate(column, None, gain)
+            }
+            gain = _partition_gain(parent, total, groups.values())
             key = (-gain, schema.canonical_index(column), -math.inf)
             if gain > 0 and (best_key is None or key < best_key):
-                best, best_key = candidate, key
+                best, best_key = (SplitCandidate(column, None, gain), groups), key
     return best
+
+
+def best_split(rows, columns) -> Optional[SplitCandidate]:
+    """Highest-gain split over the given columns, or None if no gain > 0.
+
+    rows: sequence of (value mapping, ClassLabel). Ties break by canonical
+    column order, then by smaller threshold.
+    """
+    found = _search(rows, columns)
+    return found[0] if found else None
 
 
 def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
@@ -152,29 +158,23 @@ def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
         or (max_depth is not None and depth >= max_depth)
     ):
         return Leaf(counts)
-    cand = best_split(rows, available)
-    if cand is None:
+    found = _search(rows, available)
+    if found is None:
         return Leaf(counts)
-    majority = _majority(counts)
+    cand, partition = found
     if cand.threshold is None:
         remaining = [c for c in available if c != cand.feature]
-        groups = {}
-        for values, label in rows:
-            groups.setdefault(values[cand.feature], []).append((values, label))
         branches = {
-            value: _build(groups[value], remaining, depth + 1, max_depth, min_rows)
-            for value in sorted(groups, key=lambda v: schema.format_value(cand.feature, v))
+            value: _build(group, remaining, depth + 1, max_depth, min_rows)
+            for value, group in partition.items()
         }
-        return CategoricalNode(cand.feature, branches, majority)
-    le = [r for r in rows if r[0][cand.feature] <= cand.threshold]
-    gt = [r for r in rows if r[0][cand.feature] > cand.threshold]
-    return NumericNode(
-        cand.feature,
-        cand.threshold,
-        _build(le, available, depth + 1, max_depth, min_rows),
-        _build(gt, available, depth + 1, max_depth, min_rows),
-        majority,
-    )
+        return CategoricalNode(counts, cand.feature, branches)
+    le, gt = (_build(part, available, depth + 1, max_depth, min_rows) for part in partition)
+    return NumericNode(counts, cand.feature, cand.threshold, le, gt)
+
+
+def _counts_json(counts: Counts) -> dict:
+    return {"TOC": counts[0], "NON-TOC": counts[1]}
 
 
 def learn(
@@ -195,41 +195,20 @@ def learn(
         for values, label in data.rows
     ]
     root = _build(rows, list(data.columns), 0, max_depth, min_rows)
-    counts = data.label_counts()
-    summary = {
-        "rows": len(data.rows),
-        "labels": {str(label): counts.get(label, 0) for label in ClassLabel},
-    }
     return TrainedModel(
         root=root,
         columns=tuple(data.columns),
-        training_summary=summary,
+        training_summary={"rows": len(data.rows), "labels": _counts_json(root.counts)},
         config_echo=config or FeatureConfig(),
     )
-
-
-def aggregate_counts(node: TreeNode) -> Counts:
-    """Summed leaf counts of a subtree."""
-    if isinstance(node, Leaf):
-        return node.counts
-    if isinstance(node, NumericNode):
-        children = (node.le, node.gt)
-    else:
-        children = node.branches.values()
-    toc = non = 0
-    for child in children:
-        t, n = aggregate_counts(child)
-        toc += t
-        non += n
-    return (toc, non)
 
 
 def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
     """Route a feature vector through the tree; returns (label, leaf counts).
 
     Categorical values match branches in the schema's normalized form. A
-    categorical value unseen at a node falls back to that node's majority
-    label with the node's aggregate counts.
+    categorical value unseen at a node ends the walk at that node, which
+    answers with its own label and counts, as a leaf does.
     """
     values = {}
     for column in model.columns:
@@ -241,11 +220,10 @@ def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
         value = values[node.feature]
         if isinstance(node, NumericNode):
             node = node.le if value <= node.threshold else node.gt
+        elif value in node.branches:
+            node = node.branches[value]
         else:
-            child = node.branches.get(value)
-            if child is None:
-                return node.majority, aggregate_counts(node)
-            node = child
+            break
     return node.label, node.counts
 
 
@@ -308,12 +286,7 @@ MODEL_FORMAT_VERSION = 1
 
 def _node_to_json(node: TreeNode):
     if isinstance(node, Leaf):
-        return {
-            "leaf": {
-                "label": str(node.label),
-                "counts": {"TOC": node.counts[0], "NON-TOC": node.counts[1]},
-            }
-        }
+        return {"leaf": {"label": str(node.label), "counts": _counts_json(node.counts)}}
     if isinstance(node, NumericNode):
         return {
             "num": {
@@ -321,7 +294,7 @@ def _node_to_json(node: TreeNode):
                 "threshold": node.threshold,
                 "le": _node_to_json(node.le),
                 "gt": _node_to_json(node.gt),
-                "majority": str(node.majority),
+                "majority": str(node.label),
             }
         }
     return {
@@ -331,7 +304,7 @@ def _node_to_json(node: TreeNode):
                 schema.format_value(node.feature, value): _node_to_json(child)
                 for value, child in node.branches.items()
             },
-            "majority": str(node.majority),
+            "majority": str(node.label),
         }
     }
 
@@ -353,6 +326,10 @@ def save_model(model: TrainedModel) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def _summed(children) -> Counts:
+    return (sum(c.counts[0] for c in children), sum(c.counts[1] for c in children))
+
+
 def _node_from_json(obj, columns) -> TreeNode:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise CorruptModel(f"bad node object: {obj!r}")
@@ -362,43 +339,42 @@ def _node_from_json(obj, columns) -> TreeNode:
         if not all(type(c) is int and c >= 0 for c in counts):
             raise CorruptModel(f"leaf counts {counts!r} are not non-negative integers")
         node = Leaf(counts)
-        if str(node.label) != body["label"]:
-            raise CorruptModel("leaf label inconsistent with counts")
-        return node
-    if tag not in ("num", "cat"):
+        stated = body["label"]
+    elif tag in ("num", "cat"):
+        feature = body["feature"]
+        if feature not in columns:
+            raise CorruptModel(f"node on feature {feature!r} outside the model columns")
+        kind = schema.CANONICAL_COLUMNS[feature]
+        if (tag == "num") != schema.is_numeric(kind):
+            raise CorruptModel(f"{tag!r} node on {kind.value} feature {feature!r}")
+        if tag == "num":
+            threshold = body["threshold"]
+            if type(threshold) not in (int, float) or not math.isfinite(threshold):
+                raise CorruptModel(f"threshold {threshold!r} is not a finite number")
+            le = _node_from_json(body["le"], columns)
+            gt = _node_from_json(body["gt"], columns)
+            node = NumericNode(_summed((le, gt)), feature, float(threshold), le, gt)
+        else:
+            branches = {
+                schema.parse_value(feature, key): _node_from_json(child, columns)
+                for key, child in body["branches"].items()
+            }
+            if not branches:
+                raise CorruptModel(f"categorical node on {feature!r} has no branches")
+            node = CategoricalNode(_summed(branches.values()), feature, branches)
+        stated = body["majority"]
+    else:
         raise CorruptModel(f"unknown node tag {tag!r}")
-    feature = body["feature"]
-    if feature not in columns:
-        raise CorruptModel(f"node on feature {feature!r} outside the model columns")
-    kind = schema.CANONICAL_COLUMNS[feature]
-    if (tag == "num") != schema.is_numeric(kind):
-        raise CorruptModel(f"{tag!r} node on {kind.value} feature {feature!r}")
-    majority = schema.parse_label(body["majority"])
-    if tag == "num":
-        threshold = body["threshold"]
-        if type(threshold) not in (int, float) or not math.isfinite(threshold):
-            raise CorruptModel(f"threshold {threshold!r} is not a finite number")
-        return NumericNode(
-            feature=feature,
-            threshold=float(threshold),
-            le=_node_from_json(body["le"], columns),
-            gt=_node_from_json(body["gt"], columns),
-            majority=majority,
-        )
-    branches = {
-        schema.parse_value(feature, key): _node_from_json(child, columns)
-        for key, child in body["branches"].items()
-    }
-    if not branches:
-        raise CorruptModel(f"categorical node on {feature!r} has no branches")
-    return CategoricalNode(feature=feature, branches=branches, majority=majority)
+    if stated != str(node.label):
+        raise CorruptModel(f"{tag} label {stated!r} disagrees with its counts {node.counts}")
+    return node
 
 
 def load_model(data: bytes) -> TrainedModel:
     """Inverse of save_model; raises CorruptModel for any invalid tree, or UnsupportedVersion."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an over-long integer
         raise CorruptModel(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("top-level JSON value is not an object")
@@ -407,9 +383,9 @@ def load_model(data: bytes) -> TrainedModel:
         raise UnsupportedVersion(f"model format version {version!r} not supported")
     try:
         cfg = FeatureConfig(
-            title_terms=tuple(doc["feature_config"]["title_terms"]),
-            section_keywords=frozenset(doc["feature_config"]["section_keywords"]),
-            max_page_number_digits=int(doc["feature_config"]["max_page_number_digits"]),
+            title_terms=doc["feature_config"]["title_terms"],
+            section_keywords=doc["feature_config"]["section_keywords"],
+            max_page_number_digits=doc["feature_config"]["max_page_number_digits"],
         )
         columns = tuple(doc["columns"])
         for column in columns:
@@ -417,6 +393,6 @@ def load_model(data: bytes) -> TrainedModel:
                 raise CorruptModel(f"unknown column {column!r}")
         root = _node_from_json(doc["root"], columns)
         summary = doc["summary"]
-    except (KeyError, TypeError, ValueError, AttributeError, DataTypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataTypeError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
     return TrainedModel(root=root, columns=columns, training_summary=summary, config_echo=cfg)

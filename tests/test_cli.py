@@ -125,6 +125,23 @@ def test_train_bad_csv_exit_2(tmp_path, capsys):
     assert run(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
 
 
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("tocdetect: error[") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("data", [
+    b"contains_title_term,label\nYES,TOC\nNO,NON-TOC caf\xe9\n",
+    b"contextual_term_count,label\n1\r2,TOC\n",
+], ids=["latin-1-byte", "carriage-return-in-field"])
+def test_train_unreadable_csv_exit_2(tmp_path, capsys, data):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    assert run(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert "error[dataset-error]" in _error_line(capsys)
+
+
 # -- predict -----------------------------------------------------------------------
 
 def test_predict_detects_toc_page(tmp_path, model_file, capsys):
@@ -182,6 +199,16 @@ def _set_nan_threshold(model):
     model["root"]["num"]["threshold"] = float("nan")
 
 
+def _set_root_majority(model):
+    model["root"]["num"]["majority"] = "NON-TOC"  # the root's counts are 8 TOC / 2 NON-TOC
+
+
+def _set_config(key, value):
+    def mutate(model):
+        model["feature_config"][key] = value
+    return mutate
+
+
 def _set_deep_root(model):
     model["root"] = "DEEP"  # swapped for a 3000-deep tree after serializing
 
@@ -193,8 +220,14 @@ def _set_deep_root(model):
     _set_leaf_counts,
     _set_nan_threshold,
     _set_deep_root,
+    _set_root_majority,
+    _set_config("title_terms", "contents"),
+    _set_config("max_page_number_digits", 2.9),
+    _set_config("section_keywords", ["Chapter"]),
+    _set_config("section_keywords", ["chapter", 3]),
 ], ids=["unknown-feature", "numeric-on-categorical", "outside-columns",
-        "negative-counts", "nan-threshold", "3000-deep"])
+        "negative-counts", "nan-threshold", "3000-deep", "majority-disagrees-with-counts",
+        "title-terms-string", "fractional-digits", "uppercase-keyword", "non-string-keyword"])
 def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate):
     xml = tmp_path / "book.xml"
     xml.write_bytes(write_document_xml(synthetic_book()))
@@ -203,7 +236,7 @@ def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate)
     model_file.write_text(json.dumps(model).replace('"DEEP"', _deep_root(3000)))
     capsys.readouterr()
     assert run(["predict", str(model_file), str(xml), "--prefix", "1.0"]) == 3
-    assert "error[corrupt-model]" in capsys.readouterr().err
+    assert "error[corrupt-model]" in _error_line(capsys)
 
 
 def test_predict_uses_model_feature_config(tmp_path, capsys):
@@ -267,6 +300,16 @@ def test_load_feature_config(tmp_path):
     assert cfg.title_terms == ("table of contents", "inhalt")
     assert cfg.section_keywords == frozenset({"kapitel", "teil"})
     assert cfg.max_page_number_digits == 3
+
+
+@pytest.mark.parametrize("flag", ["--config", "--labels"])
+def test_extract_non_utf8_side_file_exit_1(tmp_path, capsys, flag):
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    side = tmp_path / "side.txt"
+    side.write_bytes(b"# r\xe9sum\xe9\n")
+    assert run(["extract", str(xml), flag, str(side)]) == 1
+    assert "error[usage]" in _error_line(capsys)
 
 
 def test_config_affects_extraction(tmp_path, capsys):

@@ -146,11 +146,12 @@ def test_unseen_categorical_value_falls_back_to_majority():
         ["title_term_style"],
         [("LARGEST", TOC), ("LARGEST", TOC), ("NA", NON)],
     )
-    model = learn(data)
-    assert isinstance(model.root, CategoricalNode)
-    label, counts = classify(model, {"title_term_style": "INTERMEDIATE"})
-    assert label is TOC  # root majority
-    assert counts == (2, 1)
+    learned = learn(data)
+    for model in (learned, load_model(save_model(learned))):
+        assert isinstance(model.root, CategoricalNode)
+        label, counts = classify(model, {"title_term_style": "INTERMEDIATE"})
+        assert label is TOC  # root majority
+        assert counts == (2, 1)
 
 
 def test_classify_missing_feature():
