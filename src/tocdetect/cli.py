@@ -15,7 +15,7 @@ import tempfile
 
 from . import dataset as dataset_mod
 from . import docmodel, features, pipeline, tree
-from .errors import ModelError, TocDetectError
+from .errors import DataTypeError, ModelError, TocDetectError
 from .features import FeatureConfig
 from .schema import parse_label
 
@@ -139,7 +139,12 @@ def _load_labels(path: str) -> dict:
             index = int(parts[0])
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad page index {parts[0]!r}")
-        labels[index] = parse_label(parts[1])
+        if index in labels:
+            raise UsageError(f"{path}:{lineno}: page {index} is labeled twice")
+        try:
+            labels[index] = parse_label(parts[1])
+        except DataTypeError:
+            raise UsageError(f"{path}:{lineno}: unknown label {parts[1]!r}")
     return labels
 
 

@@ -8,13 +8,14 @@ confusion matrices against gold labels, with TOC as the positive class.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dataset import Dataset
 from .docmodel import DocumentModel
 from .errors import ColumnMismatch, EmptyDataset
-from .features import FeatureConfig, extract_features
+from .features import extract_features
 from .schema import ClassLabel
 from .tree import TrainedModel, classify, learn
 
@@ -114,20 +115,18 @@ def scan_count(page_count: int, prefix_fraction: float) -> int:
 def detect(
     doc: DocumentModel,
     model: TrainedModel,
-    cfg: FeatureConfig | None = None,
     prefix_fraction: float = 0.3,
 ) -> DetectionResult:
     """Classify the leading pages of a document; TOC pages in ascending order.
 
-    cfg defaults to the feature config the model was trained with.
+    Features are extracted with the feature config the model was trained with.
     """
     if not 0 < prefix_fraction <= 1:
         raise ValueError(f"prefix_fraction {prefix_fraction} outside (0, 1]")
-    cfg = cfg or model.config_echo
     pages = doc.pages[: scan_count(len(doc.pages), prefix_fraction)]
     toc_pages = []
     for page in pages:
-        label, counts = classify(model, extract_features(page, cfg).as_dict())
+        label, counts = classify(model, extract_features(page, model.config_echo).as_dict())
         if label is ClassLabel.TOC:
             toc_pages.append((page.index, counts))
     return DetectionResult(
@@ -139,19 +138,9 @@ def detect(
 
 
 def _tally(pairs) -> EvaluationReport:
-    tp = fp = fn = tn = 0
-    for gold, predicted in pairs:
-        if gold is ClassLabel.TOC:
-            if predicted is ClassLabel.TOC:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted is ClassLabel.TOC:
-                fp += 1
-            else:
-                tn += 1
-    return EvaluationReport(tp=tp, fp=fp, fn=fn, tn=tn)
+    c = Counter(pairs)
+    toc, non = ClassLabel.TOC, ClassLabel.NON_TOC
+    return EvaluationReport(tp=c[toc, toc], fp=c[non, toc], fn=c[toc, non], tn=c[non, non])
 
 
 def evaluate(model: TrainedModel, data: Dataset) -> EvaluationReport:

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import schema
 from .errors import (
     CorruptModel,
-    DataTypeError,
+    DatasetError,
     EmptyDataset,
     MissingFeature,
     UnsupportedVersion,
@@ -66,7 +66,6 @@ TreeNode = Union[Leaf, NumericNode, CategoricalNode]
 class TrainedModel:
     root: TreeNode
     columns: tuple[str, ...]
-    training_summary: dict
     config_echo: FeatureConfig = field(default_factory=FeatureConfig)
 
 
@@ -198,7 +197,6 @@ def learn(
     return TrainedModel(
         root=root,
         columns=tuple(data.columns),
-        training_summary={"rows": len(data.rows), "labels": _counts_json(root.counts)},
         config_echo=config or FeatureConfig(),
     )
 
@@ -309,10 +307,10 @@ def _node_to_json(node: TreeNode):
     }
 
 
-def save_model(model: TrainedModel) -> bytes:
-    """Versioned JSON serialization; save -> load -> save is byte-identical."""
+def _model_doc(model: TrainedModel) -> dict:
     cfg = model.config_echo
-    doc = {
+    counts = model.root.counts
+    return {
         "version": MODEL_FORMAT_VERSION,
         "columns": list(model.columns),
         "feature_config": {
@@ -320,10 +318,14 @@ def save_model(model: TrainedModel) -> bytes:
             "section_keywords": sorted(cfg.section_keywords),
             "max_page_number_digits": cfg.max_page_number_digits,
         },
-        "summary": model.training_summary,
+        "summary": {"rows": sum(counts), "labels": _counts_json(counts)},
         "root": _node_to_json(model.root),
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def save_model(model: TrainedModel) -> bytes:
+    """Versioned JSON serialization; save -> load -> save is byte-identical."""
+    return (json.dumps(_model_doc(model), indent=2) + "\n").encode("utf-8")
 
 
 def _summed(children) -> Counts:
@@ -331,47 +333,40 @@ def _summed(children) -> Counts:
 
 
 def _node_from_json(obj, columns) -> TreeNode:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise CorruptModel(f"bad node object: {obj!r}")
     (tag, body), = obj.items()
     if tag == "leaf":
         counts = (body["counts"]["TOC"], body["counts"]["NON-TOC"])
         if not all(type(c) is int and c >= 0 for c in counts):
             raise CorruptModel(f"leaf counts {counts!r} are not non-negative integers")
-        node = Leaf(counts)
-        stated = body["label"]
-    elif tag in ("num", "cat"):
-        feature = body["feature"]
-        if feature not in columns:
-            raise CorruptModel(f"node on feature {feature!r} outside the model columns")
-        kind = schema.CANONICAL_COLUMNS[feature]
-        if (tag == "num") != schema.is_numeric(kind):
-            raise CorruptModel(f"{tag!r} node on {kind.value} feature {feature!r}")
-        if tag == "num":
-            threshold = body["threshold"]
-            if type(threshold) not in (int, float) or not math.isfinite(threshold):
-                raise CorruptModel(f"threshold {threshold!r} is not a finite number")
-            le = _node_from_json(body["le"], columns)
-            gt = _node_from_json(body["gt"], columns)
-            node = NumericNode(_summed((le, gt)), feature, float(threshold), le, gt)
-        else:
-            branches = {
-                schema.parse_value(feature, key): _node_from_json(child, columns)
-                for key, child in body["branches"].items()
-            }
-            if not branches:
-                raise CorruptModel(f"categorical node on {feature!r} has no branches")
-            node = CategoricalNode(_summed(branches.values()), feature, branches)
-        stated = body["majority"]
-    else:
-        raise CorruptModel(f"unknown node tag {tag!r}")
-    if stated != str(node.label):
-        raise CorruptModel(f"{tag} label {stated!r} disagrees with its counts {node.counts}")
-    return node
+        return Leaf(counts)
+    feature = body["feature"]
+    if feature not in columns:
+        raise CorruptModel(f"node on feature {feature!r} outside the model columns")
+    kind = schema.CANONICAL_COLUMNS[feature]
+    if tag != ("num" if schema.is_numeric(kind) else "cat"):
+        raise CorruptModel(f"{tag!r} node on {kind.value} feature {feature!r}")
+    if tag == "num":
+        threshold = float(body["threshold"])  # a non-float value fails load_model's final check
+        if not math.isfinite(threshold):
+            raise CorruptModel(f"threshold {threshold!r} is not a finite number")
+        le = _node_from_json(body["le"], columns)
+        gt = _node_from_json(body["gt"], columns)
+        return NumericNode(_summed((le, gt)), feature, threshold, le, gt)
+    branches = {
+        schema.parse_value(feature, key): _node_from_json(child, columns)
+        for key, child in body["branches"].items()
+    }
+    if not branches:
+        raise CorruptModel(f"categorical node on {feature!r} has no branches")
+    return CategoricalNode(_summed(branches.values()), feature, branches)
 
 
 def load_model(data: bytes) -> TrainedModel:
-    """Inverse of save_model; raises CorruptModel for any invalid tree, or UnsupportedVersion."""
+    """Inverse of save_model; raises CorruptModel for any invalid tree, or UnsupportedVersion.
+
+    A file loads only if it holds exactly the document save_model writes for
+    the model it describes, up to whitespace and key order.
+    """
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an over-long integer
@@ -382,17 +377,16 @@ def load_model(data: bytes) -> TrainedModel:
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersion(f"model format version {version!r} not supported")
     try:
-        cfg = FeatureConfig(
-            title_terms=doc["feature_config"]["title_terms"],
-            section_keywords=doc["feature_config"]["section_keywords"],
-            max_page_number_digits=doc["feature_config"]["max_page_number_digits"],
+        columns = Dataset(columns=tuple(doc["columns"]), rows=()).columns
+        model = TrainedModel(
+            root=_node_from_json(doc["root"], columns),
+            columns=columns,
+            config_echo=FeatureConfig(**doc["feature_config"]),
         )
-        columns = tuple(doc["columns"])
-        for column in columns:
-            if column not in schema.CANONICAL_COLUMNS:
-                raise CorruptModel(f"unknown column {column!r}")
-        root = _node_from_json(doc["root"], columns)
-        summary = doc["summary"]
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataTypeError) as exc:
+        # JSON types count: true is not 1 and 1 is not 1.0
+        if json.dumps(_model_doc(model), sort_keys=True) != json.dumps(doc, sort_keys=True):
+            raise CorruptModel("model document differs from the one its tree saves as")
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError,
+            DatasetError) as exc:
         raise CorruptModel(f"malformed model document: {exc}") from exc
-    return TrainedModel(root=root, columns=columns, training_summary=summary, config_echo=cfg)
+    return model

@@ -279,7 +279,7 @@ def test_criterion_6_prefix_rule():
         pages = [canonical_toc_page(index=i + 1, with_links=True) for i in range(n_pages)]
         book = doc(pages, doc_id=f"book-{n_pages}")
         for fraction in (0.15, 0.2, 0.3, 1.0):
-            result = detect(book, model, CFG, prefix_fraction=fraction)
+            result = detect(book, model, prefix_fraction=fraction)
             expected = max(1, ceil(Fraction(str(fraction)) * n_pages))
             assert len(result.scanned_pages) == expected
             assert result.scanned_pages == tuple(range(1, expected + 1))
@@ -298,7 +298,7 @@ def test_criterion_7_end_to_end():
     book = parse_document(write_document_xml(doc(pages, doc_id="book")))
 
     model = learn(table1_fixture())
-    results = [detect(book, model, CFG, prefix_fraction=0.3) for _ in range(3)]
+    results = [detect(book, model, prefix_fraction=0.3) for _ in range(3)]
     assert all(r == results[0] for r in results)  # stable across runs
     assert [p for p, _ in results[0].toc_pages] == [2]
 

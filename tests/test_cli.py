@@ -70,6 +70,19 @@ def test_extract_with_labels(tmp_path, capsys):
     assert lines[2].endswith(",TOC")
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("1 TOC\n2 MAYBE\n", "labels.txt:2: unknown label 'MAYBE'"),
+    ("2 TOC\n1 NON-TOC\n2 NON-TOC\n", "labels.txt:3: page 2 is labeled twice"),
+], ids=["unknown-label", "repeated-index"])
+def test_extract_bad_labels_file_exit_1(tmp_path, capsys, text, fault):
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(write_document_xml(synthetic_book(n_pages=2)))
+    labels = tmp_path / "labels.txt"
+    labels.write_text(text)
+    assert run(["extract", str(xml), "--labels", str(labels)]) == 1
+    assert fault in _error_line(capsys)
+
+
 def test_extract_partial_labels_is_data_error(tmp_path, capsys):
     xml = tmp_path / "doc.xml"
     xml.write_bytes(write_document_xml(synthetic_book(n_pages=2)))
@@ -185,49 +198,55 @@ def _deep_root(depth):
     return node * depth + _LEAF + "}}" * depth
 
 
-def _set_root_feature(feature):
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
     def mutate(model):
-        model["root"]["num"]["feature"] = feature
+        for step in path:
+            model = model[step]
+        model[key] = value
     return mutate
 
 
-def _set_leaf_counts(model):
-    model["root"]["num"]["le"]["leaf"]["counts"] = {"TOC": -1, "NON-TOC": 0}
-
-
-def _set_nan_threshold(model):
-    model["root"]["num"]["threshold"] = float("nan")
-
-
-def _set_root_majority(model):
-    model["root"]["num"]["majority"] = "NON-TOC"  # the root's counts are 8 TOC / 2 NON-TOC
-
-
-def _set_config(key, value):
+def _set_style_root(*keys):
+    # each key, a spelling of LARGEST, leads to the 8 TOC rows and NA to the 2 NON-TOC rows,
+    # so the tree agrees with the summary once the keys collapse to one branch
     def mutate(model):
-        model["feature_config"][key] = value
+        toc = {"leaf": {"label": "TOC", "counts": {"TOC": 8, "NON-TOC": 0}}}
+        non = {"leaf": {"label": "NON-TOC", "counts": {"TOC": 0, "NON-TOC": 2}}}
+        branches = {key: toc for key in keys}
+        model["root"] = {"cat": {"feature": "title_term_style",
+                                 "branches": {**branches, "NA": non}, "majority": "TOC"}}
     return mutate
 
 
-def _set_deep_root(model):
-    model["root"] = "DEEP"  # swapped for a 3000-deep tree after serializing
+def _duplicate_column(model):
+    model["columns"].append(model["columns"][0])
 
 
 @pytest.mark.parametrize("mutate", [
-    _set_root_feature("no_such_feature"),
-    _set_root_feature("title_term_style"),  # numeric test on a categorical column
-    _set_root_feature("section_term_frequency"),  # canonical, but not a model column
-    _set_leaf_counts,
-    _set_nan_threshold,
-    _set_deep_root,
-    _set_root_majority,
-    _set_config("title_terms", "contents"),
-    _set_config("max_page_number_digits", 2.9),
-    _set_config("section_keywords", ["Chapter"]),
-    _set_config("section_keywords", ["chapter", 3]),
+    _set("root", "num", "feature", "no_such_feature"),
+    _set("root", "num", "feature", "title_term_style"),  # numeric test on a categorical column
+    _set("root", "num", "feature", "section_term_frequency"),  # canonical, not a model column
+    _set("root", "num", "le", "leaf", "counts", {"TOC": -1, "NON-TOC": 0}),
+    _set("root", "num", "threshold", float("nan")),
+    _set("root", "DEEP"),  # swapped for a 3000-deep tree after serializing
+    _set("root", "num", "majority", "NON-TOC"),  # the root's counts are 8 TOC / 2 NON-TOC
+    _set("feature_config", "title_terms", "contents"),
+    _set("feature_config", "max_page_number_digits", 2.9),
+    _set("feature_config", "section_keywords", ["Chapter"]),
+    _set("feature_config", "section_keywords", ["chapter", 3]),
+    _set("version", True),
+    _set_style_root("LARGEST", "largest"),
+    _set("summary", "rows", 11),
+    _set_style_root("largest"),
+    _set("root", "num", "threshold", 0),
+    _duplicate_column,
 ], ids=["unknown-feature", "numeric-on-categorical", "outside-columns",
         "negative-counts", "nan-threshold", "3000-deep", "majority-disagrees-with-counts",
-        "title-terms-string", "fractional-digits", "uppercase-keyword", "non-string-keyword"])
+        "title-terms-string", "fractional-digits", "uppercase-keyword", "non-string-keyword",
+        "version-true", "duplicate-normalized-branch", "summary-rows-disagree",
+        "lowercase-branch", "int-threshold", "duplicate-column"])
 def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate):
     xml = tmp_path / "book.xml"
     xml.write_bytes(write_document_xml(synthetic_book()))

@@ -3,6 +3,8 @@
 Each parser must return a value or raise TocDetectError; the CLI must exit
 0-3 on the same inputs. Inputs are arbitrary bytes, or splices of format
 fragments (and mutations of the golden model) that get past the first check.
+A model file that loads must hold what save_model writes for it, up to
+whitespace and key order.
 """
 
 import json
@@ -110,13 +112,19 @@ def test_load_csv_arbitrary_bytes(data):
 @_fuzz
 @given(st.one_of(st.binary(max_size=300), _mutated_models()))
 @example(b'{"version": 1, "columns": ' + b"9" * 5000 + b"}")  # past int()'s digit limit
+@example(GOLDEN_MODEL.replace(b'"version": 1', b'"version": true'))
 def test_load_model_arbitrary_bytes(data):
     try:
         model = load_model(data)
     except TocDetectError:
         return
     saved = save_model(model)
+    assert _canonical(saved) == _canonical(data)
     assert save_model(load_model(saved)) == saved
+
+
+def _canonical(data: bytes) -> str:
+    return json.dumps(json.loads(data.decode("utf-8")), sort_keys=True)
 
 
 def _run_extract(tmp_path, flag, data) -> int:

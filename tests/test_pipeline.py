@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from tocdetect.dataset import Dataset, load_csv, table1_fixture
 from tocdetect.errors import ColumnMismatch, EmptyDataset
-from tocdetect.features import FeatureConfig
 from tocdetect.pipeline import (
     DetectionResult,
     EvaluationReport,
@@ -21,16 +20,11 @@ from tocdetect.tree import Leaf, TrainedModel, learn
 from helpers import canonical_toc_page, doc, page
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
-CFG = FeatureConfig()
 
 
 def constant_model(label):
     counts = (1, 0) if label is TOC else (0, 1)
-    return TrainedModel(
-        root=Leaf(counts),
-        columns=(),
-        training_summary={"rows": 1, "labels": {"TOC": counts[0], "NON-TOC": counts[1]}},
-    )
+    return TrainedModel(root=Leaf(counts), columns=())
 
 
 def plain_doc(n_pages, doc_id="doc"):
@@ -43,32 +37,32 @@ def plain_doc(n_pages, doc_id="doc"):
 # -- detect ---------------------------------------------------------------------
 
 def test_detect_scans_three_of_ten_pages():
-    result = detect(plain_doc(10), constant_model(NON), CFG, prefix_fraction=0.3)
+    result = detect(plain_doc(10), constant_model(NON), prefix_fraction=0.3)
     assert result.scanned_pages == (1, 2, 3)
     assert result.toc_pages == ()
 
 
 def test_detect_single_page_minimum():
-    result = detect(plain_doc(1), constant_model(NON), CFG, prefix_fraction=0.15)
+    result = detect(plain_doc(1), constant_model(NON), prefix_fraction=0.15)
     assert result.scanned_pages == (1,)
 
 
 def test_detect_constant_toc_model_reports_all_scanned():
-    result = detect(plain_doc(4), constant_model(TOC), CFG, prefix_fraction=1.0)
+    result = detect(plain_doc(4), constant_model(TOC), prefix_fraction=1.0)
     assert [p for p, _ in result.toc_pages] == [1, 2, 3, 4]
 
 
 def test_detect_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        detect(plain_doc(2), constant_model(NON), CFG, prefix_fraction=1.5)
+        detect(plain_doc(2), constant_model(NON), prefix_fraction=1.5)
     with pytest.raises(ValueError):
-        detect(plain_doc(2), constant_model(NON), CFG, prefix_fraction=0.0)
+        detect(plain_doc(2), constant_model(NON), prefix_fraction=0.0)
 
 
 def test_detect_matches_normalized_font_class_branch():
     # extraction keeps the raw font name; the CSV-trained branch key is normalized
     data = load_csv(b"title_term_font_class,label\nTIMES_NEW_ROMAN,TOC\nARIAL,NON-TOC\n")
-    result = detect(doc([canonical_toc_page()]), learn(data), CFG, prefix_fraction=1.0)
+    result = detect(doc([canonical_toc_page()]), learn(data), prefix_fraction=1.0)
     assert result.toc_pages == ((1, (1, 0)),)
 
 
@@ -82,7 +76,7 @@ def test_scan_count_exact_arithmetic():
 
 @given(st.integers(1, 40), st.sampled_from([0.15, 0.2, 0.3, 1.0]))
 def test_detect_prefix_property(n_pages, fraction):
-    result = detect(plain_doc(n_pages), constant_model(TOC), CFG, prefix_fraction=fraction)
+    result = detect(plain_doc(n_pages), constant_model(TOC), prefix_fraction=fraction)
     expected = max(1, math.ceil(Fraction(str(fraction)) * n_pages))
     assert len(result.scanned_pages) == expected
     assert result.scanned_pages == tuple(range(1, expected + 1))
@@ -90,7 +84,7 @@ def test_detect_prefix_property(n_pages, fraction):
 
 
 def test_detection_result_renderings():
-    result = detect(plain_doc(3, doc_id="book"), constant_model(NON), CFG, 1.0)
+    result = detect(plain_doc(3, doc_id="book"), constant_model(NON), 1.0)
     text = result.to_text()
     assert "book" in text and "none detected" in text
     payload = result.to_json_dict()

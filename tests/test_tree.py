@@ -272,6 +272,12 @@ def test_save_load_save_fixpoint():
     assert save_model(load_model(data)) == data
 
 
+def test_load_ignores_whitespace_and_key_order():
+    data = save_model(learn(table1_fixture()))
+    compact = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"))
+    assert save_model(load_model(compact.encode())) == data
+
+
 def test_load_round_trips_model():
     model = learn(table1_fixture())
     assert load_model(save_model(model)) == model
