@@ -70,8 +70,8 @@ def _build_parser() -> _Parser:
     p.add_argument("paths", nargs="+", metavar="PATH",
                    help="MODEL TEST.csv, or TRAIN.csv with --loo")
     p.add_argument("--loo", action="store_true", help="leave-one-out cross-validation")
-    p.add_argument("--max-depth", type=_positive_int, default=None)
-    p.add_argument("--min-rows", type=_positive_int, default=1)
+    p.add_argument("--max-depth", type=_positive_int, help="with --loo only")
+    p.add_argument("--min-rows", type=_positive_int, help="with --loo only (default 1)")
     add_common(p, fmt=("text", "json"))
 
     p = sub.add_parser("export", help="render a model as text or DOT")
@@ -129,7 +129,7 @@ def load_feature_config(path: str) -> FeatureConfig:
         raise UsageError(f"{path}: {exc}")
 
 
-def _load_labels(path: str) -> dict:
+def _load_labels(path: str, pages: set) -> dict:
     labels = {}
     for lineno, line in _read_lines(path):
         parts = line.split()
@@ -141,6 +141,8 @@ def _load_labels(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: bad page index {parts[0]!r}")
         if index in labels:
             raise UsageError(f"{path}:{lineno}: page {index} is labeled twice")
+        if index not in pages:
+            raise UsageError(f"{path}:{lineno}: page {index} is not in the document")
         try:
             labels[index] = parse_label(parts[1])
         except DataTypeError:
@@ -158,6 +160,9 @@ def _write_output(payload: bytes, out_path: str | None):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> the mode open(path, "wb") gives
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -188,7 +193,7 @@ def _config_from(args) -> FeatureConfig:
 def _cmd_extract(args) -> bytes:
     cfg = _config_from(args)
     doc = docmodel.parse_document(_read_bytes(args.document))
-    labels = _load_labels(args.labels) if args.labels else None
+    labels = _load_labels(args.labels, {page.index for page in doc.pages}) if args.labels else None
     rows = []
     for page in doc.pages:
         vector = features.extract_features(page, cfg)
@@ -220,10 +225,12 @@ def _cmd_eval(args) -> bytes:
         if len(args.paths) != 1:
             raise UsageError("--loo takes exactly one CSV path")
         data = dataset_mod.load_csv(_read_bytes(args.paths[0]))
-        report = pipeline.leave_one_out(data, max_depth=args.max_depth, min_rows=args.min_rows)
+        report = pipeline.leave_one_out(data, max_depth=args.max_depth, min_rows=args.min_rows or 1)
     else:
         if len(args.paths) != 2:
             raise UsageError("eval takes MODEL and TEST.csv paths")
+        if args.max_depth is not None or args.min_rows is not None:
+            raise UsageError("--max-depth and --min-rows apply only with --loo")
         model = _read_model(args.paths[0])
         data = dataset_mod.load_csv(_read_bytes(args.paths[1]))
         report = pipeline.evaluate(model, data)

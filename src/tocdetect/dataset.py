@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import schema
 from .errors import (
+    DataTypeError,
     DatasetError,
     EmptyDataset,
     MissingLabelColumn,
@@ -28,7 +29,7 @@ from .schema import ClassLabel
 @dataclass(frozen=True)
 class Dataset:
     columns: tuple[str, ...]
-    rows: tuple[tuple[tuple, ClassLabel], ...]  # (values aligned to columns, label)
+    rows: tuple[tuple[tuple, ClassLabel], ...]  # (values as check_value returns them, label)
 
     def __post_init__(self):
         if not self.columns:
@@ -40,11 +41,15 @@ class Dataset:
             if name in seen:
                 raise UnknownColumn(f"duplicate column: {name!r}")
             seen.add(name)
+        rows = []
         for r, (values, label) in enumerate(self.rows, start=1):
             if len(values) != len(self.columns):
                 raise UnknownColumn(f"row {r} has {len(values)} values for {len(self.columns)} columns")
-            for name, value in zip(self.columns, values):
-                schema.check_value(name, value, row=r)
+            if not isinstance(label, ClassLabel):
+                raise DataTypeError(f"expected a ClassLabel, got {label!r}", row=r, column="label")
+            values = tuple(schema.check_value(n, v, row=r) for n, v in zip(self.columns, values))
+            rows.append((values, label))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def label_counts(self) -> Counter:
         return Counter(label for _, label in self.rows)

@@ -90,9 +90,10 @@ def _parse_token(elem: ET.Element, path: str) -> Token:
         raise SchemaViolation(f"size={raw_size!r} is not a decimal", path)
     if not (math.isfinite(size) and size >= 0.0):
         raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal", path)
+    font = elem.get("font", "")  # blank counts as absent, so no feature gets an empty level
     return Token(
         text=text,
-        font_family=elem.get("font", "unknown"),
+        font_family=font if font.strip() else "unknown",
         font_size=size,
         bold=_parse_bool(elem.get("bold", "false"), path, "bold"),
         italic=_parse_bool(elem.get("italic", "false"), path, "italic"),

@@ -70,7 +70,7 @@ def parse_label(text: str, row=None) -> ClassLabel:
 
 
 def parse_value(column: str, text: str, row=None):
-    """Parse one CSV cell into its column's typed value; range rules are check_value's."""
+    """Turn one CSV cell into its column's Python type; the value rules are check_value's."""
     kind = CANONICAL_COLUMNS[column]
     text = text.strip()
     if kind is Kind.BOOL:
@@ -80,12 +80,7 @@ def parse_value(column: str, text: str, row=None):
             return False
         raise DataTypeError(f"expected YES/NO, got {text!r}", row=row, column=column)
     if kind is Kind.CATEGORICAL:
-        value = normalize_categorical(text)
-        if not value:
-            raise DataTypeError("empty categorical value", row=row, column=column)
-        if column == "title_term_style" and value not in STYLE_LEVELS:
-            raise DataTypeError(f"unknown style level {text!r}", row=row, column=column)
-        return value
+        return text
     try:
         return int(text) if kind is Kind.INT else float(text)
     except ValueError:
@@ -94,7 +89,7 @@ def parse_value(column: str, text: str, row=None):
 
 
 def check_value(column: str, value, row=None):
-    """Validate an in-memory value against its column's kind; returns it unchanged."""
+    """Validate a value against its column's rules; returns it in tree form (levels normalized)."""
     kind = CANONICAL_COLUMNS[column]
     if kind is Kind.BOOL:
         if not isinstance(value, bool):
@@ -102,6 +97,12 @@ def check_value(column: str, value, row=None):
     elif kind is Kind.CATEGORICAL:
         if not isinstance(value, str):
             raise DataTypeError(f"expected str, got {value!r}", row=row, column=column)
+        level = normalize_categorical(value)
+        if not level:
+            raise DataTypeError("empty categorical value", row=row, column=column)
+        if column == "title_term_style" and level not in STYLE_LEVELS:
+            raise DataTypeError(f"unknown style level {value!r}", row=row, column=column)
+        return level
     elif kind is Kind.INT:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DataTypeError(f"expected int, got {value!r}", row=row, column=column)
@@ -115,15 +116,8 @@ def check_value(column: str, value, row=None):
     return value
 
 
-def canonical_value(column: str, value):
-    """A checked value as trees store it: categorical levels normalized, others unchanged."""
-    if CANONICAL_COLUMNS[column] is Kind.CATEGORICAL:
-        return normalize_categorical(value)
-    return value
-
-
 def format_value(column: str, value) -> str:
-    """Render a value as its CSV cell text (inverse of parse_value)."""
+    """Render a value as its CSV cell text; check_value(parse_value(...)) reads it back."""
     kind = CANONICAL_COLUMNS[column]
     if kind is Kind.BOOL:
         return "YES" if value else "NO"

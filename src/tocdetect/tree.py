@@ -189,10 +189,7 @@ def learn(
         raise ValueError("min_rows must be >= 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows = [
-        ({c: schema.canonical_value(c, v) for c, v in zip(data.columns, values)}, label)
-        for values, label in data.rows
-    ]
+    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
     root = _build(rows, list(data.columns), 0, max_depth, min_rows)
     return TrainedModel(
         root=root,
@@ -212,7 +209,7 @@ def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
     for column in model.columns:
         if column not in vector:
             raise MissingFeature(column)
-        values[column] = schema.canonical_value(column, schema.check_value(column, vector[column]))
+        values[column] = schema.check_value(column, vector[column])
     node = model.root
     while not isinstance(node, Leaf):
         value = values[node.feature]
@@ -353,7 +350,8 @@ def _node_from_json(obj, columns) -> TreeNode:
         gt = _node_from_json(body["gt"], columns)
         return NumericNode(_summed((le, gt)), feature, threshold, le, gt)
     branches = {
-        schema.parse_value(feature, key): _node_from_json(child, columns)
+        schema.check_value(feature, schema.parse_value(feature, key)):
+            _node_from_json(child, columns)
         for key, child in body["branches"].items()
     }
     if not branches:

@@ -73,7 +73,8 @@ def test_extract_with_labels(tmp_path, capsys):
 @pytest.mark.parametrize("text, fault", [
     ("1 TOC\n2 MAYBE\n", "labels.txt:2: unknown label 'MAYBE'"),
     ("2 TOC\n1 NON-TOC\n2 NON-TOC\n", "labels.txt:3: page 2 is labeled twice"),
-], ids=["unknown-label", "repeated-index"])
+    ("1 NON-TOC\n2 TOC\n99 TOC\n", "labels.txt:3: page 99 is not in the document"),
+], ids=["unknown-label", "repeated-index", "page-not-in-document"])
 def test_extract_bad_labels_file_exit_1(tmp_path, capsys, text, fault):
     xml = tmp_path / "doc.xml"
     xml.write_bytes(write_document_xml(synthetic_book(n_pages=2)))
@@ -90,6 +91,20 @@ def test_extract_partial_labels_is_data_error(tmp_path, capsys):
     labels.write_text("1 TOC\n")
     assert run(["extract", str(xml), "--labels", str(labels)]) == 2
     assert "mixed-labeling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("font", ["", " "])
+def test_extract_then_train_with_blank_font(tmp_path, capsys, font):
+    # a blank font counts as absent, so the title's font class is UNKNOWN, not an empty cell
+    xml = tmp_path / "doc.xml"
+    xml.write_text(f'<document id="d"><page index="1"><line><token font="{font}">Contents</token>'
+                   '</line></page><page index="2"><line><token>1</token></line></page></document>')
+    labels = tmp_path / "labels.txt"
+    labels.write_text("1 TOC\n2 NON-TOC\n")
+    features = tmp_path / "features.csv"
+    assert run(["extract", str(xml), "--labels", str(labels), "--out", str(features)]) == 0
+    assert features.read_text().splitlines()[1].split(",")[3] == "UNKNOWN"
+    assert run(["train", str(features), "--out", str(tmp_path / "m.json")]) == 0
 
 
 # -- train / eval -----------------------------------------------------------------
@@ -123,6 +138,23 @@ def test_learner_limits_below_one_are_usage_errors(fixture_csv, capsys, argv, fl
     argv = [str(fixture_csv) if arg == "CSV" else arg for arg in argv]
     assert run([*argv, flag, "0"]) == 1
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--min-rows"])
+def test_eval_learner_limits_need_loo(fixture_csv, model_file, capsys, flag):
+    assert run(["eval", str(model_file), str(fixture_csv), flag, "1"]) == 1
+    assert "only with --loo" in _error_line(capsys)
+
+
+def test_out_file_mode_follows_umask(tmp_path, fixture_csv):
+    # as open(path, "wb") would create it, not mkstemp's 0600
+    out = tmp_path / "m.json"
+    old = os.umask(0o022)
+    try:
+        assert run(["train", str(fixture_csv), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 def test_train_is_deterministic(tmp_path, fixture_csv):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tocdetect.dataset import Dataset, load_csv, table1_csv_bytes, table1_fixture, write_csv
 from tocdetect.errors import (
@@ -7,7 +8,8 @@ from tocdetect.errors import (
     MissingLabelColumn,
     UnknownColumn,
 )
-from tocdetect.schema import ClassLabel
+from tocdetect.schema import CANONICAL_COLUMNS, STYLE_LEVELS, ClassLabel, Kind
+from tocdetect.tree import learn, load_model, save_model
 
 
 def test_table1_shape():
@@ -114,3 +116,60 @@ def test_dataset_rejects_duplicate_columns():
     with pytest.raises(UnknownColumn):
         Dataset(columns=("contains_title_term", "contains_title_term"),
                 rows=(((True, True), ClassLabel.TOC),))
+
+
+@pytest.mark.parametrize("column, value, label, fault_column", [
+    ("title_term_style", "BOGUS", ClassLabel.TOC, "title_term_style"),
+    ("title_term_font_class", " \t", ClassLabel.TOC, "title_term_font_class"),
+    ("contains_title_term", True, "TOC", "label"),
+], ids=["bad-style-level", "blank-categorical", "str-label"])
+def test_dataset_applies_the_csv_value_rules(column, value, label, fault_column):
+    with pytest.raises(DataTypeError) as exc:
+        Dataset(columns=(column,), rows=(((value,), label),))
+    assert (exc.value.row, exc.value.column) == (1, fault_column)
+
+
+def test_dataset_holds_normalized_levels():
+    data = Dataset(columns=("title_term_style", "title_term_font_class"),
+                   rows=((("most-frequent", "Times New Roman"), ClassLabel.TOC),))
+    assert data.rows == ((("MOST_FREQUENT", "TIMES_NEW_ROMAN"), ClassLabel.TOC),)
+    assert load_csv(write_csv(data)) == data
+
+
+_LEVELS = st.one_of(
+    st.sampled_from([*STYLE_LEVELS, "", " ", "largest", "Most-Frequent", " na ", "Times New Roman"]),
+    st.text(max_size=6),
+)
+_VALUES = {
+    Kind.BOOL: st.booleans(),
+    Kind.CATEGORICAL: _LEVELS,
+    Kind.INT: st.integers(min_value=0),
+    Kind.REAL: st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])),
+}
+
+
+@st.composite
+def _library_rows(draw):
+    columns = tuple(draw(st.lists(st.sampled_from(list(CANONICAL_COLUMNS)),
+                                  min_size=1, max_size=4, unique=True)))
+    rows = tuple(
+        (tuple(draw(_VALUES[CANONICAL_COLUMNS[c]]) for c in columns),
+         draw(st.sampled_from(ClassLabel)))
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    return columns, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_library_rows())
+def test_library_dataset_is_rejected_or_round_trips(columns_rows):
+    # the in-memory route to a dataset follows the CSV rules, so whatever it
+    # accepts survives both file formats
+    columns, rows = columns_rows
+    try:
+        data = Dataset(columns=columns, rows=rows)
+    except DataTypeError:
+        return
+    assert load_csv(write_csv(data)) == data
+    model = learn(data)
+    assert load_model(save_model(model)) == model

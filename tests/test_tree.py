@@ -169,6 +169,13 @@ def test_classify_type_error():
         classify(model, vector)
 
 
+def test_classify_rejects_unknown_style_level():
+    # no tree can branch on it, so it is an error rather than a fallback
+    model = learn(make_dataset(["title_term_style"], [("LARGEST", TOC), ("NA", NON)]))
+    with pytest.raises(DataTypeError):
+        classify(model, {"title_term_style": "BOGUS"})
+
+
 def test_categorical_column_dropped_below_its_split():
     # after splitting on the bool column, only the numeric column remains
     data = make_dataset(
