@@ -1,7 +1,7 @@
 """TOC-page detection: XML page model, layout/term features, decision tree."""
 
 from .dataset import Dataset, load_csv, table1_fixture, write_csv
-from .docmodel import DocumentModel, Line, Page, Token, line_text, parse_document
+from .docmodel import DocumentModel, Line, Page, Token, parse_document
 from .features import FeatureConfig, FeatureVector, extract_features, write_feature_csv
 from .pipeline import DetectionResult, EvaluationReport, detect, evaluate, leave_one_out
 from .schema import ClassLabel
@@ -39,7 +39,6 @@ __all__ = [
     "extract_features",
     "learn",
     "leave_one_out",
-    "line_text",
     "load_csv",
     "load_model",
     "parse_document",

@@ -92,6 +92,8 @@ def _read_lines(path: str) -> list:
             numbered = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, start=1)]
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read: {exc.strerror}") from exc
     return [(n, line) for n, line in numbered if line]
 
 

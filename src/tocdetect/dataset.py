@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import io
-from collections import Counter
 from dataclasses import dataclass
 
 from . import schema
@@ -50,12 +49,6 @@ class Dataset:
             values = tuple(schema.check_value(n, v, row=r) for n, v in zip(self.columns, values))
             rows.append((values, label))
         object.__setattr__(self, "rows", tuple(rows))
-
-    def label_counts(self) -> Counter:
-        return Counter(label for _, label in self.rows)
-
-    def column_index(self, name: str) -> int:
-        return self.columns.index(name)
 
 
 def _records(text: str):

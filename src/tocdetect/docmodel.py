@@ -24,7 +24,6 @@ import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import MalformedXml, SchemaViolation
 
@@ -58,11 +57,6 @@ class Page:
 class DocumentModel:
     id: str
     pages: tuple[Page, ...]
-
-
-def line_text(line: Line) -> str:
-    """Token texts joined by single spaces; empty string for an empty line."""
-    return " ".join(tok.text for tok in line.tokens)
 
 
 def _parse_bool(raw: str, path: str, attr: str) -> bool:
@@ -159,6 +153,8 @@ def write_document_xml(doc: DocumentModel) -> bytes:
 
     parse_document(write_document_xml(doc)) is structurally equal to doc.
     """
+    # imported here: saxutils pulls in urllib.request and http.client, which no other path needs
+    from xml.sax.saxutils import escape, quoteattr
     out = [f"<document id={quoteattr(doc.id)}>"]
     for page in doc.pages:
         out.append(f'  <page index="{page.index}">')

@@ -23,12 +23,6 @@ class SchemaViolation(TocDetectError):
         self.path = path
 
 
-class EmptyLine(TocDetectError):
-    """An operation requiring at least one token was given an empty line."""
-
-    code = "empty-line"
-
-
 class DatasetError(TocDetectError):
     code = "dataset-error"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import schema
 from .docmodel import Line, Page
-from .errors import EmptyLine, MixedLabeling
+from .errors import MixedLabeling
 from .schema import ClassLabel
 
 DEFAULT_TITLE_TERMS = (
@@ -133,8 +133,6 @@ def title_style(page: Page, title_line_index: int) -> str:
     the largest size). Sizes compare by exact equality.
     """
     line = page.lines[title_line_index]
-    if not line.tokens:
-        raise EmptyLine(f"line {title_line_index} has no tokens")
     sizes = [tok.font_size for ln in page.lines for tok in ln.tokens]
     s = max(tok.font_size for tok in line.tokens)
     page_max = max(sizes)

@@ -29,6 +29,10 @@ from .schema import ClassLabel
 
 Counts = tuple[int, int]  # (n_TOC, n_NON_TOC)
 
+#: Deepest tree learn returns. Building, saving and loading each recurse about two frames
+#: per level, so this keeps them within half of Python's default recursion limit (1000).
+MAX_TREE_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class _Node:
@@ -150,6 +154,8 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
 
 
 def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
+    if depth > MAX_TREE_DEPTH:
+        raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
     counts = _count(rows)
     if (
         0 in counts
@@ -182,7 +188,7 @@ def learn(
     min_rows: int = 1,
     config: FeatureConfig | None = None,
 ) -> TrainedModel:
-    """Induce a decision tree from a labeled dataset. Deterministic."""
+    """Induce a decision tree from a labeled dataset. Deterministic; DatasetError if too deep."""
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
     if min_rows < 1:

@@ -6,6 +6,14 @@ from tocdetect.docmodel import DocumentModel, Line, Page, Token
 from tocdetect.schema import CANONICAL_COLUMNS, Kind, canonical_index, format_value
 
 
+# "billion laughs": nine levels of ten-fold entity references inside one token
+ENTITY_BOMB = (
+    '<?xml version="1.0"?><!DOCTYPE document [<!ENTITY l0 "lol">'
+    + "".join(f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 10))
+    + ']><document id="d"><page index="1"><line><token>&l9;</token></line></page></document>'
+).encode()
+
+
 def tok(text, **kwargs):
     return Token(text=text, **kwargs)
 

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from tocdetect import tree
 from tocdetect.cli import load_feature_config, run
 from tocdetect.dataset import table1_csv_bytes
 from tocdetect.docmodel import write_document_xml
 
-from helpers import canonical_toc_page, doc, page
+from helpers import ENTITY_BOMB, canonical_toc_page, doc, page
 
 MINIMAL_XML = b'<document id="d"><page index="1"><line><token>Contents</token></line></page></document>'
 
@@ -164,10 +167,16 @@ def test_train_is_deterministic(tmp_path, fixture_csv):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_bad_csv_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "contains_title_term,label\nmaybe,TOC\n",
+    f"contextual_term_count,label\n{'9' * 400},TOC\n0,NON-TOC\n",
+    f"contextual_term_count,label\n{2**53 + 1},TOC\n0,NON-TOC\n",
+], ids=["not-yes-no", "400-digit-count", "count-above-2**53"])
+def test_train_bad_csv_exit_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
-    bad.write_text("contains_title_term,label\nmaybe,TOC\n")
+    bad.write_text(text)
     assert run(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert "error[type-error]" in _error_line(capsys)
 
 
 def _error_line(capsys) -> str:
@@ -187,6 +196,33 @@ def test_train_unreadable_csv_exit_2(tmp_path, capsys, data):
     assert "error[dataset-error]" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("command", [["train", "--out", "m.json"], ["eval", "--loo"]],
+                         ids=["train", "eval-loo"])
+def test_tree_deeper_than_limit_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(tree, "MAX_TREE_DEPTH", 3)
+    monkeypatch.chdir(tmp_path)
+    # alternating labels over distinct counts learn one level per row, so even the first
+    # leave-one-out fold (rows 1-5) is a 4-level chain
+    chain = tmp_path / "chain.csv"
+    chain.write_text("contextual_term_count,label\n"
+                     + "".join(f"{i},{'TOC' if i % 2 == 0 else 'NON-TOC'}\n" for i in range(6)))
+    assert run([*command, str(chain)]) == 2
+    assert "error[dataset-error]" in _error_line(capsys)
+
+
+def test_tree_at_depth_limit_saves_and_loads(tmp_path):
+    node = tree.Leaf((1, 0))
+    for i in range(tree.MAX_TREE_DEPTH):
+        gt = tree.Leaf((i % 2, 1 - i % 2))
+        counts = (node.counts[0] + gt.counts[0], node.counts[1] + gt.counts[1])
+        node = tree.NumericNode(counts, "contextual_term_count", i + 0.5, node, gt)
+    model = tree.TrainedModel(root=node, columns=("contextual_term_count",))
+    path = tmp_path / "chain.json"
+    path.write_bytes(tree.save_model(model))
+    assert tree.load_model(path.read_bytes()) == model
+    assert run(["export", str(path)]) == 0
+
+
 # -- predict -----------------------------------------------------------------------
 
 def test_predict_detects_toc_page(tmp_path, model_file, capsys):
@@ -203,6 +239,14 @@ def test_predict_prefix_out_of_range_exit_1(tmp_path, model_file, capsys):
     xml.write_bytes(MINIMAL_XML)
     assert run(["predict", str(model_file), str(xml), "--prefix", "1.5"]) == 1
     assert "prefix" in capsys.readouterr().err
+
+
+def test_predict_entity_bomb_exit_2(tmp_path, model_file, capsys):
+    xml = tmp_path / "bomb.xml"
+    xml.write_bytes(ENTITY_BOMB)
+    capsys.readouterr()
+    assert run(["predict", str(model_file), str(xml)]) == 2
+    assert "error[malformed-xml]" in _error_line(capsys)
 
 
 def test_predict_missing_model_exit_3(tmp_path, capsys):
@@ -332,6 +376,17 @@ def test_fixture_table1_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == table1_csv_bytes()
 
 
+def test_cli_import_leaves_out_xml_escaping():
+    # only the debug writer escapes XML, and xml.sax.saxutils pulls in urllib.request and
+    # http.client, so a fresh `import tocdetect.cli` must load none of them
+    probe = ("import sys; bare = set(sys.modules); import tocdetect.cli; print(sorted("
+             "{'xml.sax.saxutils', 'urllib.request', 'http.client'} & (set(sys.modules) - bare)))")
+    src = os.path.dirname(os.path.dirname(tree.__file__))
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_usage_error_exit_1(capsys):
     assert run(["train"]) == 1
     assert "error[usage]" in capsys.readouterr().err
@@ -353,14 +408,21 @@ def test_load_feature_config(tmp_path):
     assert cfg.max_page_number_digits == 3
 
 
-@pytest.mark.parametrize("flag", ["--config", "--labels"])
-def test_extract_non_utf8_side_file_exit_1(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, data", [
+    ("--config", b"# r\xe9sum\xe9\n"),
+    ("--labels", b"# r\xe9sum\xe9\n"),
+    ("--config", None),
+    ("--labels", None),
+], ids=["--config", "--labels", "--config-missing", "--labels-missing"])
+def test_extract_non_utf8_side_file_exit_1(tmp_path, capsys, flag, data):
     xml = tmp_path / "doc.xml"
     xml.write_bytes(MINIMAL_XML)
     side = tmp_path / "side.txt"
-    side.write_bytes(b"# r\xe9sum\xe9\n")
+    if data is not None:
+        side.write_bytes(data)
     assert run(["extract", str(xml), flag, str(side)]) == 1
-    assert "error[usage]" in _error_line(capsys)
+    err = _error_line(capsys)
+    assert "error[usage]" in err and f"{side}: " in err
 
 
 def test_config_affects_extraction(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ def test_table1_shape():
         "line_start_number_frequency",
     )
     assert len(data.rows) == 10
-    counts = data.label_counts()
+    counts = Counter(label for _, label in data.rows)
     assert counts[ClassLabel.TOC] == 8
     assert counts[ClassLabel.NON_TOC] == 2
 

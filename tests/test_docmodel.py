@@ -8,11 +8,12 @@ from tocdetect.docmodel import (
     Line,
     Page,
     Token,
-    line_text,
     parse_document,
     write_document_xml,
 )
 from tocdetect.errors import MalformedXml, SchemaViolation
+
+from helpers import ENTITY_BOMB
 
 MINIMAL = b'<document id="d"><page index="1"><line><token>Contents</token></line></page></document>'
 
@@ -56,6 +57,11 @@ def test_link_attribute():
 def test_malformed_xml():
     with pytest.raises(MalformedXml):
         parse_document(b"<document id=")
+
+
+def test_entity_expansion_bomb_is_malformed():
+    with pytest.raises(MalformedXml, match="amplification"):
+        parse_document(ENTITY_BOMB)
 
 
 def test_non_increasing_page_indices():
@@ -112,14 +118,6 @@ def test_empty_lines_preserved():
     assert len(doc.pages[0].lines) == 2
     assert doc.pages[0].lines[0].tokens == ()
     assert [ln.index for ln in doc.pages[0].lines] == [0, 1]
-
-
-def test_line_text():
-    ln = Line(tokens=(Token("Table"), Token("of"), Token("Contents")), index=0)
-    assert line_text(ln) == "Table of Contents"
-    assert line_text(Line(tokens=(), index=0)) == ""
-    ln = Line(tokens=(Token("1.2"), Token("Methods"), Token("14")), index=0)
-    assert line_text(ln) == "1.2 Methods 14"
 
 
 def test_parse_is_deterministic():

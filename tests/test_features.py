@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from tocdetect import dataset as dataset_mod
 from tocdetect.docmodel import Line, Page, Token
-from tocdetect.errors import EmptyLine, MixedLabeling
+from tocdetect.errors import MixedLabeling
 from tocdetect.features import (
     FeatureConfig,
     FeatureVector,
@@ -94,12 +94,6 @@ def test_style_intermediate():
 def test_style_modal_tie_takes_largest_size():
     # sizes: 12 x2, 18 x2 (incl. title) -> modal resolves to 18 = title size
     assert title_style(_styled_page(18, [12, 12, 18]), 0) == "LARGEST"
-
-
-def test_style_empty_line_raises():
-    p = Page(index=1, lines=(Line(tokens=(), index=0), line(["x"], 1)))
-    with pytest.raises(EmptyLine):
-        title_style(p, 0)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
@@ -283,6 +277,6 @@ def test_feature_csv_round_trips_through_dataset_loader():
     assert len(loaded.columns) == 10
     assert len(loaded.rows) == 2
     assert [label for _, label in loaded.rows] == [ClassLabel.TOC, ClassLabel.NON_TOC]
-    contains = loaded.column_index("contains_title_term")
+    contains = loaded.columns.index("contains_title_term")
     assert loaded.rows[0][0][contains] is True
     assert loaded.rows[1][0][contains] is False

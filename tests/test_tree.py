@@ -4,9 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tocdetect import tree
 from tocdetect.dataset import Dataset, table1_fixture
 from tocdetect.errors import (
     CorruptModel,
+    DatasetError,
     DataTypeError,
     EmptyDataset,
     MissingFeature,
@@ -207,16 +209,28 @@ def test_categorical_column_dropped_below_its_split():
         assert classify(model, dict(zip(data.columns, values)))[0] == label
 
 
+def _depth(node):
+    if isinstance(node, Leaf):
+        return 0
+    children = (node.le, node.gt) if isinstance(node, NumericNode) else node.branches.values()
+    return 1 + max(_depth(c) for c in children)
+
+
 def test_max_depth_limits_tree():
     model = learn(table1_fixture(), max_depth=1)
+    assert _depth(model.root) <= 1
 
-    def depth(node):
-        if isinstance(node, Leaf):
-            return 0
-        children = (node.le, node.gt) if isinstance(node, NumericNode) else node.branches.values()
-        return 1 + max(depth(c) for c in children)
 
-    assert depth(model.root) <= 1
+def test_learn_rejects_tree_deeper_than_limit(monkeypatch):
+    # distinct counts with alternating labels: each split peels off one row
+    def chain(n):
+        return make_dataset(["contextual_term_count"],
+                            [(i, TOC if i % 2 == 0 else NON) for i in range(n)])
+
+    monkeypatch.setattr(tree, "MAX_TREE_DEPTH", 3)
+    assert _depth(learn(chain(4)).root) == 3
+    with pytest.raises(DatasetError, match="deeper than 3 levels"):
+        learn(chain(5))
 
 
 def test_min_rows_prevents_splitting_small_nodes():
