@@ -1,8 +1,8 @@
 """Command-line interface: extract / train / predict / eval / export / fixture.
 
-Exit codes: 0 success, 1 usage errors, 2 data errors (XML/CSV/features),
-3 model-file errors. Output files are written atomically (temp + rename);
-all outputs are deterministic for identical inputs and flags.
+Exit codes: 0 success, 1 usage errors, 2 data errors (XML/CSV/features) and
+I/O errors, 3 model-file errors. Output files are written atomically (temp +
+rename); all outputs are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -158,18 +158,21 @@ def _write_output(payload: bytes, out_path: str | None):
         sys.stdout.buffer.flush()
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tocdetect-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> the mode open(path, "wb") gives
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tocdetect-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> the mode open(path, "wb") gives
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the user's path, not the temp file's
+        raise OSError(exc.errno, exc.strerror, out_path) from exc
 
 
 def _read_model(path: str) -> tree.TrainedModel:

@@ -14,7 +14,7 @@ tokens; this module only parses and validates:
 
 Page index attributes must be strictly increasing in document order.
 Unknown elements inside <line> and unknown attributes are ignored with a
-warning. Input is UTF-8; a leading BOM is tolerated.
+warning; a <token> holds text only. Input is UTF-8; a leading BOM is tolerated.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ _TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
 
 
 def _parse_token(elem: ET.Element, path: str) -> Token:
+    if len(elem):  # elem.text stops at the first child, so the text after it would be lost
+        raise SchemaViolation(f"unexpected element <{elem[0].tag}>", path)
     for attr in elem.attrib:
         if attr not in _TOKEN_ATTRS:
             log.warning("%s: ignoring unknown attribute %r", path, attr)

@@ -106,7 +106,7 @@ def check_value(column: str, value, row=None):
     elif kind is Kind.INT:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DataTypeError(f"expected int, got {value!r}", row=row, column=column)
-        if not 0 <= value <= 2**53:  # split thresholds are float midpoints, exact up to 2**53
+        if not 0 <= value <= 2**53:  # an exact float, so every split threshold is a finite number
             raise DataTypeError(f"count {value} outside [0, 2**53]", row=row, column=column)
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence, Union
 
 from . import schema
@@ -98,49 +100,36 @@ def _count(rows) -> Counts:
     return (c[ClassLabel.TOC], c[ClassLabel.NON_TOC])
 
 
-def _partition_gain(parent_entropy: float, total: int, groups) -> float:
-    child = sum(len(g) / total * entropy(_count(g)) for g in groups)
-    return parent_entropy - child
+def _groups(rows, column, threshold):
+    """How a split divides rows: (value <= threshold, value > threshold), or for a
+    categorical split (threshold None) a dict value -> rows in serialized value order."""
+    if threshold is not None:
+        return ([r for r in rows if r[0][column] <= threshold],
+                [r for r in rows if r[0][column] > threshold])
+    groups = {}
+    for values, label in rows:
+        groups.setdefault(values[column], []).append((values, label))
+    # a fixed order, so row permutations cannot perturb the float gain summed over groups
+    return {v: groups[v] for v in sorted(groups, key=lambda v: schema.format_value(column, v))}
 
 
-def _search(rows, columns):
-    """best_split, with the winning partition: (SplitCandidate, partition) or None.
-
-    The partition is (le rows, gt rows), or a dict value -> rows in serialized value order.
-    """
-    total = len(rows)
-    parent = entropy(_count(rows))
-    best = None
-    best_key = None
-    for column in columns:
-        kind = schema.CANONICAL_COLUMNS[column]
-        if schema.is_numeric(kind):
-            values = sorted({values[column] for values, _ in rows})
-            for lo, hi in zip(values, values[1:]):
-                t = (lo + hi) / 2
-                le = [r for r in rows if r[0][column] <= t]
-                gt = [r for r in rows if r[0][column] > t]
-                gain = _partition_gain(parent, total, (le, gt))
-                key = (-gain, schema.canonical_index(column), t)
-                if gain > 0 and (best_key is None or key < best_key):
-                    best, best_key = (SplitCandidate(column, t, gain), (le, gt)), key
-        else:
-            groups = {}
-            for values, label in rows:
-                groups.setdefault(values[column], []).append((values, label))
-            if len(groups) < 2:
-                continue
-            # sum child entropies in value order so row permutations cannot
-            # perturb the float gain
-            groups = {
-                v: groups[v]
-                for v in sorted(groups, key=lambda v: schema.format_value(column, v))
-            }
-            gain = _partition_gain(parent, total, groups.values())
-            key = (-gain, schema.canonical_index(column), -math.inf)
-            if gain > 0 and (best_key is None or key < best_key):
-                best, best_key = (SplitCandidate(column, None, gain), groups), key
-    return best
+def _candidates(rows, column):
+    """Yield (threshold or None, class counts of each group) for every split on column."""
+    if not schema.is_numeric(schema.CANONICAL_COLUMNS[column]):
+        groups = _groups(rows, column, None)
+        if len(groups) > 1:
+            yield None, [_count(g) for g in groups.values()]
+        return
+    ordered = sorted(rows, key=lambda r: r[0][column])
+    keys = [values[column] for values, _ in ordered]
+    tocs = list(accumulate((label is ClassLabel.TOC for _, label in ordered), initial=0))
+    n_toc, n_non = _count(rows)
+    distinct = sorted(set(keys))
+    for lo, hi in zip(distinct, distinct[1:]):
+        t = (lo + hi) / 2
+        n_le = bisect_right(keys, t)  # rows <= t, which include hi when t rounds up to it
+        le = (tocs[n_le], n_le - tocs[n_le])
+        yield t, [le, (n_toc - le[0], n_non - le[1])]
 
 
 def best_split(rows, columns) -> Optional[SplitCandidate]:
@@ -149,8 +138,17 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
     rows: sequence of (value mapping, ClassLabel). Ties break by canonical
     column order, then by smaller threshold.
     """
-    found = _search(rows, columns)
-    return found[0] if found else None
+    total = len(rows)
+    parent = entropy(_count(rows))
+    best = None
+    best_key = None
+    for column in columns:
+        for t, parts in _candidates(rows, column):
+            gain = parent - sum(sum(c) / total * entropy(c) for c in parts)
+            key = (-gain, schema.canonical_index(column), -math.inf if t is None else t)
+            if gain > 0 and (best_key is None or key < best_key):
+                best, best_key = SplitCandidate(column, t, gain), key
+    return best
 
 
 def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
@@ -163,18 +161,18 @@ def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
         or (max_depth is not None and depth >= max_depth)
     ):
         return Leaf(counts)
-    found = _search(rows, available)
-    if found is None:
+    cand = best_split(rows, available)
+    if cand is None:
         return Leaf(counts)
-    cand, partition = found
+    groups = _groups(rows, cand.feature, cand.threshold)
     if cand.threshold is None:
         remaining = [c for c in available if c != cand.feature]
         branches = {
             value: _build(group, remaining, depth + 1, max_depth, min_rows)
-            for value, group in partition.items()
+            for value, group in groups.items()
         }
         return CategoricalNode(counts, cand.feature, branches)
-    le, gt = (_build(part, available, depth + 1, max_depth, min_rows) for part in partition)
+    le, gt = (_build(part, available, depth + 1, max_depth, min_rows) for part in groups)
     return NumericNode(counts, cand.feature, cand.threshold, le, gt)
 
 

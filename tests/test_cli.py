@@ -149,6 +149,27 @@ def test_eval_learner_limits_need_loo(fixture_csv, model_file, capsys, flag):
     assert "only with --loo" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("missing-dir/x.csv", "No such file or directory"),
+    ("a-dir", "Is a directory"),
+], ids=["in-missing-directory", "is-a-directory"])
+def test_unwritable_out_path_is_named_in_io_error(tmp_path, capsys, monkeypatch, out, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    assert run(["fixture", "--table1", "--out", out]) == 2
+    err = _error_line(capsys)
+    assert err.startswith("tocdetect: error[io]: ") and err.endswith(f"{reason}: {out!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["a-dir"]  # no temp file left behind
+
+
+@pytest.mark.parametrize("argv", [["train", "in.csv", "--out", "m.json"], ["extract", "in.xml"]],
+                         ids=["train", "extract"])
+def test_missing_input_file_is_io_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert _error_line(capsys).endswith(f"No such file or directory: {argv[1]!r}\n")
+
+
 def test_out_file_mode_follows_umask(tmp_path, fixture_csv):
     # as open(path, "wb") would create it, not mkstemp's 0600
     out = tmp_path / "m.json"
@@ -199,15 +220,15 @@ def test_train_unreadable_csv_exit_2(tmp_path, capsys, data):
 @pytest.mark.parametrize("command", [["train", "--out", "m.json"], ["eval", "--loo"]],
                          ids=["train", "eval-loo"])
 def test_tree_deeper_than_limit_exit_2(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(tree, "MAX_TREE_DEPTH", 3)
     monkeypatch.chdir(tmp_path)
     # alternating labels over distinct counts learn one level per row, so even the first
-    # leave-one-out fold (rows 1-5) is a 4-level chain
+    # leave-one-out fold (rows 1-519) is a chain twice as deep as the real limit
     chain = tmp_path / "chain.csv"
     chain.write_text("contextual_term_count,label\n"
-                     + "".join(f"{i},{'TOC' if i % 2 == 0 else 'NON-TOC'}\n" for i in range(6)))
+                     + "".join(f"{i},{'TOC' if i % 2 == 0 else 'NON-TOC'}\n" for i in range(520)))
     assert run([*command, str(chain)]) == 2
     assert "error[dataset-error]" in _error_line(capsys)
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_tree_at_depth_limit_saves_and_loads(tmp_path):

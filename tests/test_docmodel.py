@@ -97,6 +97,16 @@ def test_token_text_is_trimmed():
     assert doc.pages[0].lines[0].tokens[0].text == "spaced"
 
 
+def test_element_inside_token_rejected_with_path():
+    data = (
+        b'<document id="d"><page index="1"><line><token>x</token>'
+        b"<token>Table of <i>Contents</i></token></line></page></document>"
+    )
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(data)
+    assert str(exc.value) == "document/page[1]/line[1]/token[2]: unexpected element <i>"
+
+
 def test_unknown_elements_and_attributes_ignored(caplog):
     data = (
         b'<document id="d"><page index="1"><line>'

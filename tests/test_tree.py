@@ -353,12 +353,18 @@ def test_row_permutation_leaves_model_unchanged(order):
     assert learn(permuted) == learn(data)
 
 
+_EIGHTHS = st.sampled_from([i / 8 for i in range(9)])
+# neighbouring doubles: the midpoint of two of them rounds to the lower or the upper one
+_NEAR_HALF = st.sampled_from([math.nextafter(0.5, 0), 0.5, math.nextafter(0.5, 1),
+                              math.nextafter(math.nextafter(0.5, 1), 1)])
+
 _COLUMN_VALUES = {
     "contains_title_term": st.booleans(),
     "title_term_style": st.sampled_from(["LARGEST", "INTERMEDIATE", "MOST_FREQUENT", "NA"]),
-    "contextual_term_count": st.integers(0, 3),
-    "outgoing_link_frequency": st.sampled_from([i / 8 for i in range(9)]),
-    "line_end_number_frequency": st.sampled_from([i / 8 for i in range(9)]),
+    # the midpoint of 2**53 - 1 and 2**53 rounds up to 2**53
+    "contextual_term_count": st.integers(0, 3) | st.sampled_from([2**53 - 1, 2**53]),
+    "outgoing_link_frequency": _EIGHTHS | st.floats(0, 1),
+    "line_end_number_frequency": _EIGHTHS | _NEAR_HALF,
 }
 
 
