@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
 def _read_lines(path: str) -> list:
     """(line number, text) of each non-blank line of a UTF-8 file; '#' starts a comment."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # -sig: a leading BOM is dropped
             numbered = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, start=1)]
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -97,30 +97,26 @@ def _read_lines(path: str) -> list:
     return [(n, line) for n, line in numbered if line]
 
 
-def load_feature_config(path: str) -> FeatureConfig:
+def load_feature_config(path: str | None) -> FeatureConfig:
     """Parse a key=value config file overriding feature extraction defaults.
 
-    Keys: title_terms and section_keywords (comma-separated),
-    max_page_number_digits (integer). '#' starts a comment.
+    Keys: title_terms and section_keywords (comma-separated; FeatureConfig
+    normalizes the items), max_page_number_digits (integer). '#' starts a
+    comment. No path gives the defaults.
     """
     kwargs = {}
-    for lineno, line in _read_lines(path):
+    for lineno, line in _read_lines(path) if path else ():
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "title_terms":
-            kwargs["title_terms"] = tuple(
-                " ".join(item.lower().split())
-                for item in value.split(",") if item.strip()
-            )
-        elif key == "section_keywords":
-            kwargs["section_keywords"] = frozenset(
-                item.strip().lower() for item in value.split(",") if item.strip()
-            )
+        if key in kwargs:
+            raise UsageError(f"{path}:{lineno}: {key} is set twice")
+        if key in ("title_terms", "section_keywords"):
+            kwargs[key] = tuple(item for item in value.split(",") if item.strip())
         elif key == "max_page_number_digits":
             try:
-                kwargs["max_page_number_digits"] = int(value)
+                kwargs[key] = int(value)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: not an integer: {value!r}")
         else:
@@ -189,14 +185,8 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _config_from(args) -> FeatureConfig:
-    if args.config:
-        return load_feature_config(args.config)
-    return FeatureConfig()
-
-
 def _cmd_extract(args) -> bytes:
-    cfg = _config_from(args)
+    cfg = load_feature_config(args.config)
     doc = docmodel.parse_document(_read_bytes(args.document))
     labels = _load_labels(args.labels, {page.index for page in doc.pages}) if args.labels else None
     rows = []
@@ -208,7 +198,7 @@ def _cmd_extract(args) -> bytes:
 
 
 def _cmd_train(args) -> bytes:
-    cfg = _config_from(args)
+    cfg = load_feature_config(args.config)
     data = dataset_mod.load_csv(_read_bytes(args.training))
     model = tree.learn(data, max_depth=args.max_depth, min_rows=args.min_rows, config=cfg)
     return tree.save_model(model)

@@ -13,8 +13,10 @@ tokens; this module only parses and validates:
     </document>
 
 Page index attributes must be strictly increasing in document order.
-Unknown elements inside <line> and unknown attributes are ignored with a
-warning; a <token> holds text only. Input is UTF-8; a leading BOM is tolerated.
+Unknown elements inside <line> and unknown <token> attributes are ignored
+with a warning; other attributes on <document>, <page> and <line> are
+ignored silently. A <token> holds text only. Input is UTF-8 unless an XML
+declaration names another encoding; a leading UTF-8 BOM is tolerated.
 """
 
 from __future__ import annotations

@@ -43,20 +43,19 @@ class FeatureConfig:
         # model files pass their JSON values straight in, so types are checked too
         if not isinstance(self.title_terms, (list, tuple)) or not self.title_terms:
             raise ValueError(f"title_terms must be a non-empty list, got {self.title_terms!r}")
-        for phrase in self.title_terms:
-            if not isinstance(phrase, str) or not phrase or phrase != " ".join(phrase.lower().split()):
-                raise ValueError(f"title term {phrase!r} must be a lowercase, single-spaced str")
         if not isinstance(self.section_keywords, (list, tuple, set, frozenset)):
             raise ValueError(f"section_keywords must be a collection, got {self.section_keywords!r}")
-        for keyword in self.section_keywords:
-            # extraction lowercases tokens, so any other keyword could never match
-            if not isinstance(keyword, str) or not keyword or keyword != keyword.lower():
-                raise ValueError(f"section keyword {keyword!r} must be a lowercase str")
+        for item in (*self.title_terms, *self.section_keywords):
+            if not isinstance(item, str) or not item.strip():
+                raise ValueError(f"title term or section keyword {item!r} must be a non-blank str")
         if type(self.max_page_number_digits) is not int or self.max_page_number_digits < 1:
             raise ValueError(
                 f"max_page_number_digits must be an int >= 1, got {self.max_page_number_digits!r}")
-        object.__setattr__(self, "title_terms", tuple(self.title_terms))
-        object.__setattr__(self, "section_keywords", frozenset(self.section_keywords))
+        # stored in the form extraction compares: lowercased words, and lowercased whole tokens
+        object.__setattr__(self, "title_terms",
+                           tuple(" ".join(term.lower().split()) for term in self.title_terms))
+        object.__setattr__(self, "section_keywords",
+                           frozenset(keyword.strip().lower() for keyword in self.section_keywords))
 
 
 @dataclass(frozen=True)
@@ -91,20 +90,18 @@ def find_title_line(page: Page, cfg: FeatureConfig):
 
     A line is a candidate if its lowercased, whitespace-normalized text
     contains a configured phrase as a contiguous word sequence; longer
-    phrases are tried first per line. The contextual count is the number
-    of tokens on that line taking no part in the matched phrase. Returns
-    (line_index, contextual_count, matched_phrase) for the candidate with
-    the fewest contextual tokens (ties: earliest line), or None.
+    phrases are tried first per line, equal lengths in config order. The
+    contextual count is the number of tokens on that line taking no part in
+    the matched phrase. Returns (line_index, contextual_count,
+    matched_phrase) for the candidate with the fewest contextual tokens
+    (ties: earliest line), or None.
     """
-    phrases = sorted(
-        ((phrase.split(), order) for order, phrase in enumerate(cfg.title_terms)),
-        key=lambda item: (-len(item[0]), item[1]),
-    )
+    phrases = sorted((phrase.split() for phrase in cfg.title_terms), key=len, reverse=True)
     best = None
     for line in page.lines:
         words = _line_words(line)
         word_texts = [w for w, _ in words]
-        for phrase_words, _ in phrases:
+        for phrase_words in phrases:
             n = len(phrase_words)
             span = next(
                 (i for i in range(len(words) - n + 1)

@@ -330,6 +330,8 @@ def _duplicate_column(model):
     _set("root", "DEEP"),  # swapped for a 3000-deep tree after serializing
     _set("root", "num", "majority", "NON-TOC"),  # the root's counts are 8 TOC / 2 NON-TOC
     _set("feature_config", "title_terms", "contents"),
+    _set("feature_config", "title_terms", ["Table of Contents"]),
+    _set("feature_config", "title_terms", ["table of  contents"]),
     _set("feature_config", "max_page_number_digits", 2.9),
     _set("feature_config", "section_keywords", ["Chapter"]),
     _set("feature_config", "section_keywords", ["chapter", 3]),
@@ -341,7 +343,8 @@ def _duplicate_column(model):
     _duplicate_column,
 ], ids=["unknown-feature", "numeric-on-categorical", "outside-columns",
         "negative-counts", "nan-threshold", "3000-deep", "majority-disagrees-with-counts",
-        "title-terms-string", "fractional-digits", "uppercase-keyword", "non-string-keyword",
+        "title-terms-string", "title-term-uppercase", "title-term-double-space",
+        "fractional-digits", "uppercase-keyword", "non-string-keyword",
         "version-true", "duplicate-normalized-branch", "summary-rows-disagree",
         "lowercase-branch", "int-threshold", "duplicate-column"])
 def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate):
@@ -444,6 +447,28 @@ def test_extract_non_utf8_side_file_exit_1(tmp_path, capsys, flag, data):
     assert run(["extract", str(xml), flag, str(side)]) == 1
     err = _error_line(capsys)
     assert "error[usage]" in err and f"{side}: " in err
+
+
+@pytest.mark.parametrize("flag, data, column, cell", [
+    ("--labels", b"\xef\xbb\xbf1 TOC\n", -1, "TOC"),
+    ("--config", b"\xef\xbb\xbftitle_terms = inhalt\n", 1, "NO"),  # "Contents" is no title now
+], ids=["--labels", "--config"])
+def test_side_file_utf8_bom_tolerated(tmp_path, capsys, flag, data, column, cell):
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    side = tmp_path / "side.txt"
+    side.write_bytes(data)
+    assert run(["extract", str(xml), flag, str(side)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[column] == cell
+
+
+def test_config_key_set_twice_exit_1(tmp_path, capsys):
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    conf = tmp_path / "features.conf"
+    conf.write_text("title_terms = inhalt\n# later\ntitle_terms = contents\n")
+    assert run(["extract", str(xml), "--config", str(conf)]) == 1
+    assert _error_line(capsys) == f"tocdetect: error[usage]: {conf}:3: title_terms is set twice\n"
 
 
 def test_config_affects_extraction(tmp_path, capsys):

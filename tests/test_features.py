@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tocdetect import dataset as dataset_mod
+from tocdetect.cli import load_feature_config
 from tocdetect.docmodel import Line, Page, Token
 from tocdetect.errors import MixedLabeling
 from tocdetect.features import (
@@ -52,6 +53,12 @@ def test_title_line_absent():
 
 def test_title_line_case_insensitive():
     assert find_title_line(page([["CONTENTS"]]), CFG) == (0, 0, "contents")
+
+
+def test_title_line_equal_length_phrases_keep_config_order():
+    p = page([["Index", "Inhalt"]])
+    assert find_title_line(p, FeatureConfig(title_terms=("inhalt", "index")))[2] == "inhalt"
+    assert find_title_line(p, FeatureConfig(title_terms=("index", "inhalt")))[2] == "index"
 
 
 def test_title_line_tie_breaks_to_earlier_line():
@@ -132,6 +139,35 @@ def test_trailing_page_number_respects_digit_cap():
     cfg = FeatureConfig(max_page_number_digits=2)
     assert trailing_page_number(line(["t", "99"], 0), cfg) == 99
     assert trailing_page_number(line(["t", "100"], 0), cfg) is None
+
+
+# -- FeatureConfig -------------------------------------------------------------
+
+def test_feature_config_normalizes_like_config_file(tmp_path):
+    path = tmp_path / "features.conf"
+    path.write_text("title_terms = Table of  Contents\nsection_keywords =  Kapitel \n")
+    cfg = FeatureConfig(title_terms=("Table of  Contents",), section_keywords={" Kapitel "})
+    assert cfg == load_feature_config(str(path))
+    assert cfg.title_terms == ("table of contents",)
+    assert cfg.section_keywords == frozenset({"kapitel"})
+    # inner spaces of a keyword stay: it is compared with a whole token's text
+    assert FeatureConfig(section_keywords=["Teil  2"]).section_keywords == frozenset({"teil  2"})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"title_terms": ("contents", 3)},
+    {"section_keywords": [b"kapitel"]},
+    {"title_terms": ("contents", " ")},
+    {"section_keywords": ["chapter", ""]},
+    {"title_terms": ()},
+    {"title_terms": "contents"},
+    {"max_page_number_digits": True},
+    {"max_page_number_digits": 0},
+], ids=["non-str-term", "non-str-keyword", "blank-term", "blank-keyword", "empty-terms",
+        "terms-string", "bool-digits", "zero-digits"])
+def test_feature_config_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        FeatureConfig(**kwargs)
 
 
 # -- extract_features ----------------------------------------------------------
