@@ -17,7 +17,7 @@ from . import dataset as dataset_mod
 from . import docmodel, features, pipeline, tree
 from .errors import DataTypeError, ModelError, TocDetectError
 from .features import FeatureConfig
-from .schema import parse_label
+from .schema import parse_label, parse_number
 
 
 class UsageError(Exception):
@@ -113,18 +113,20 @@ def load_feature_config(path: str | None) -> FeatureConfig:
         if key in kwargs:
             raise UsageError(f"{path}:{lineno}: {key} is set twice")
         if key in ("title_terms", "section_keywords"):
-            kwargs[key] = tuple(item for item in value.split(",") if item.strip())
+            value = tuple(item for item in value.split(",") if item.strip())
         elif key == "max_page_number_digits":
             try:
-                kwargs[key] = int(value)
+                value = parse_number(value)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: not an integer: {value!r}")
         else:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-    try:
-        return FeatureConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}")
+        try:
+            FeatureConfig(**{key: value})  # its rules, checked while the line number is known
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}")
+        kwargs[key] = value
+    return FeatureConfig(**kwargs)
 
 
 def _load_labels(path: str, pages: set) -> dict:
@@ -134,7 +136,7 @@ def _load_labels(path: str, pages: set) -> dict:
         if len(parts) != 2:
             raise UsageError(f"{path}:{lineno}: expected '<page-index> <label>'")
         try:
-            index = int(parts[0])
+            index = parse_number(parts[0])
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad page index {parts[0]!r}")
         if index in labels:

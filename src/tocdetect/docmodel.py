@@ -28,6 +28,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import MalformedXml, SchemaViolation
+from .schema import parse_number
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +84,7 @@ def _parse_token(elem: ET.Element, path: str) -> Token:
         raise SchemaViolation("token has empty text", path)
     raw_size = elem.get("size", "0.0")
     try:
-        size = float(raw_size)
+        size = parse_number(raw_size, float)
     except ValueError:
         raise SchemaViolation(f"size={raw_size!r} is not a decimal", path)
     if not (math.isfinite(size) and size >= 0.0):
@@ -124,7 +125,7 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
         if raw_index is None:
             raise SchemaViolation("missing index attribute", path)
         try:
-            index = int(raw_index)
+            index = parse_number(raw_index)
         except ValueError:
             raise SchemaViolation(f"index={raw_index!r} is not an integer", path)
         if index <= prev_index:

@@ -30,7 +30,7 @@ DEFAULT_SECTION_KEYWORDS = frozenset(
      "introduction", "bibliography", "index"}
 )
 
-_SECTION_NUMBER_RE = re.compile(r"\d+(\.\d+)*\.?$")
+_SECTION_NUMBER_RE = re.compile(r"\d+(\.\d+)*\.?$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class FeatureConfig:
 
     def __post_init__(self):
         # model files pass their JSON values straight in, so types are checked too
-        if not isinstance(self.title_terms, (list, tuple)) or not self.title_terms:
-            raise ValueError(f"title_terms must be a non-empty list, got {self.title_terms!r}")
+        if not isinstance(self.title_terms, (list, tuple)):
+            raise ValueError(f"title_terms must be a list, got {self.title_terms!r}")
+        if not self.title_terms:
+            raise ValueError("title_terms has no terms")
         if not isinstance(self.section_keywords, (list, tuple, set, frozenset)):
             raise ValueError(f"section_keywords must be a collection, got {self.section_keywords!r}")
         for item in (*self.title_terms, *self.section_keywords):
@@ -76,15 +78,6 @@ class FeatureVector:
         return {name: getattr(self, name) for name in schema.CANONICAL_COLUMNS}
 
 
-def _line_words(line: Line) -> list[tuple[str, int]]:
-    # (lowercased word, owning token index); tokens may hold several words
-    words = []
-    for ti, tok in enumerate(line.tokens):
-        for word in tok.text.lower().split():
-            words.append((word, ti))
-    return words
-
-
 def find_title_line(page: Page, cfg: FeatureConfig):
     """Locate the best title-term line on a page.
 
@@ -99,27 +92,21 @@ def find_title_line(page: Page, cfg: FeatureConfig):
     phrases = sorted((phrase.split() for phrase in cfg.title_terms), key=len, reverse=True)
     best = None
     for line in page.lines:
-        words = _line_words(line)
-        word_texts = [w for w, _ in words]
+        words, owners = [], []  # lowercased words; tokens may hold several words
+        for ti, tok in enumerate(line.tokens):
+            for word in tok.text.lower().split():
+                words.append(word)
+                owners.append(ti)
         for phrase_words in phrases:
             n = len(phrase_words)
-            span = next(
-                (i for i in range(len(words) - n + 1)
-                 if word_texts[i:i + n] == phrase_words),
-                None,
-            )
-            if span is None:
-                continue
-            covered = {ti for _, ti in words[span:span + n]}
-            contextual = len(line.tokens) - len(covered)
-            candidate = (contextual, line.index, " ".join(phrase_words))
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-            break
-    if best is None:
-        return None
-    contextual, index, phrase = best
-    return index, contextual, phrase
+            span = next((i for i in range(len(words) - n + 1) if words[i:i + n] == phrase_words),
+                        None)
+            if span is not None:
+                contextual = len(line.tokens) - len(set(owners[span:span + n]))
+                if best is None or (contextual, line.index) < (best[1], best[0]):
+                    best = (line.index, contextual, " ".join(phrase_words))
+                break
+    return best
 
 
 def title_style(page: Page, title_line_index: int) -> str:

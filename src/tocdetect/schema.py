@@ -61,6 +61,13 @@ def normalize_categorical(text: str) -> str:
     return out
 
 
+def parse_number(text: str, kind=int):
+    """kind(text), int or float, for ASCII text without '_' (int('1_0') is 10); else ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 def parse_label(text: str, row=None) -> ClassLabel:
     norm = text.strip().upper().replace("_", "-")
     for label in ClassLabel:
@@ -82,7 +89,7 @@ def parse_value(column: str, text: str, row=None):
     if kind is Kind.CATEGORICAL:
         return text
     try:
-        return int(text) if kind is Kind.INT else float(text)
+        return parse_number(text, int if kind is Kind.INT else float)
     except ValueError:
         expected = "integer" if kind is Kind.INT else "real"
         raise DataTypeError(f"expected {expected}, got {text!r}", row=row, column=column)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, Optional, Sequence, Union
@@ -96,8 +95,8 @@ def entropy(counts: Sequence[int]) -> float:
 
 
 def _count(rows) -> Counts:
-    c = Counter(label for _, label in rows)
-    return (c[ClassLabel.TOC], c[ClassLabel.NON_TOC])
+    n_toc = sum(label is ClassLabel.TOC for _, label in rows)
+    return (n_toc, len(rows) - n_toc)
 
 
 def _groups(rows, column, threshold):
@@ -123,13 +122,12 @@ def _candidates(rows, column):
     ordered = sorted(rows, key=lambda r: r[0][column])
     keys = [values[column] for values, _ in ordered]
     tocs = list(accumulate((label is ClassLabel.TOC for _, label in ordered), initial=0))
-    n_toc, n_non = _count(rows)
     distinct = sorted(set(keys))
     for lo, hi in zip(distinct, distinct[1:]):
         t = (lo + hi) / 2
         n_le = bisect_right(keys, t)  # rows <= t, which include hi when t rounds up to it
-        le = (tocs[n_le], n_le - tocs[n_le])
-        yield t, [le, (n_toc - le[0], n_non - le[1])]
+        gt_toc = tocs[-1] - tocs[n_le]
+        yield t, [(tocs[n_le], n_le - tocs[n_le]), (gt_toc, len(keys) - n_le - gt_toc)]
 
 
 def best_split(rows, columns) -> Optional[SplitCandidate]:

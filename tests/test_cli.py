@@ -77,12 +77,16 @@ def test_extract_with_labels(tmp_path, capsys):
     ("1 TOC\n2 MAYBE\n", "labels.txt:2: unknown label 'MAYBE'"),
     ("2 TOC\n1 NON-TOC\n2 NON-TOC\n", "labels.txt:3: page 2 is labeled twice"),
     ("1 NON-TOC\n2 TOC\n99 TOC\n", "labels.txt:3: page 99 is not in the document"),
-], ids=["unknown-label", "repeated-index", "page-not-in-document"])
+    ("x TOC\n", "labels.txt:1: bad page index 'x'"),
+    ("1 NON-TOC\n1_0 TOC\n", "labels.txt:2: bad page index '1_0'"),
+    ("\u0661 TOC\n", "labels.txt:1: bad page index '\u0661'"),
+], ids=["unknown-label", "repeated-index", "page-not-in-document", "index-word",
+        "index-underscore", "index-arabic-indic"])
 def test_extract_bad_labels_file_exit_1(tmp_path, capsys, text, fault):
     xml = tmp_path / "doc.xml"
     xml.write_bytes(write_document_xml(synthetic_book(n_pages=2)))
     labels = tmp_path / "labels.txt"
-    labels.write_text(text)
+    labels.write_text(text, encoding="utf-8")
     assert run(["extract", str(xml), "--labels", str(labels)]) == 1
     assert fault in _error_line(capsys)
 
@@ -133,6 +137,11 @@ def test_eval_loo(fixture_csv, capsys):
 
 def test_eval_loo_rejects_two_paths(fixture_csv, model_file, capsys):
     assert run(["eval", "--loo", str(model_file), str(fixture_csv)]) == 1
+
+
+def test_eval_rejects_three_paths_without_loo(fixture_csv, model_file, capsys):
+    assert run(["eval", str(model_file), str(fixture_csv), str(fixture_csv)]) == 1
+    assert _error_line(capsys) == "tocdetect: error[usage]: eval takes MODEL and TEST.csv paths\n"
 
 
 @pytest.mark.parametrize("argv", [["train", "CSV", "--out", "m.json"], ["eval", "--loo", "CSV"]])
@@ -255,6 +264,18 @@ def test_predict_detects_toc_page(tmp_path, model_file, capsys):
     assert [entry["page"] for entry in payload["toc_pages"]] == [2]
 
 
+def test_predict_text_format_is_default(tmp_path, model_file, capsys):
+    xml = tmp_path / "book.xml"
+    xml.write_bytes(write_document_xml(synthetic_book()))
+    assert run(["predict", str(model_file), str(xml)]) == 0
+    assert capsys.readouterr().out == (
+        "document:        book\n"
+        "prefix fraction: 0.3\n"
+        "scanned pages:   1, 2, 3\n"
+        "TOC page:        2 (leaf counts 8/0)\n"
+    )
+
+
 def test_predict_prefix_out_of_range_exit_1(tmp_path, model_file, capsys):
     xml = tmp_path / "book.xml"
     xml.write_bytes(MINIMAL_XML)
@@ -341,12 +362,13 @@ def _duplicate_column(model):
     _set_style_root("largest"),
     _set("root", "num", "threshold", 0),
     _duplicate_column,
+    _set("root", {"cat": {"feature": "title_term_style", "branches": {}, "majority": "TOC"}}),
 ], ids=["unknown-feature", "numeric-on-categorical", "outside-columns",
         "negative-counts", "nan-threshold", "3000-deep", "majority-disagrees-with-counts",
         "title-terms-string", "title-term-uppercase", "title-term-double-space",
         "fractional-digits", "uppercase-keyword", "non-string-keyword",
         "version-true", "duplicate-normalized-branch", "summary-rows-disagree",
-        "lowercase-branch", "int-threshold", "duplicate-column"])
+        "lowercase-branch", "int-threshold", "duplicate-column", "empty-branches"])
 def test_predict_invalid_model_tree_exit_3(tmp_path, model_file, capsys, mutate):
     xml = tmp_path / "book.xml"
     xml.write_bytes(write_document_xml(synthetic_book()))
@@ -469,6 +491,23 @@ def test_config_key_set_twice_exit_1(tmp_path, capsys):
     conf.write_text("title_terms = inhalt\n# later\ntitle_terms = contents\n")
     assert run(["extract", str(xml), "--config", str(conf)]) == 1
     assert _error_line(capsys) == f"tocdetect: error[usage]: {conf}:3: title_terms is set twice\n"
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("max_page_number_digits = x\n", "2: not an integer: 'x'"),
+    ("max_page_number_digits = 1_0\n", "2: not an integer: '1_0'"),
+    ("max_page_number_digits = \u0663\n", "2: not an integer: '\u0663'"),
+    ("max_page_number_digits = 0\n", "2: max_page_number_digits must be an int >= 1, got 0"),
+    ("title_terms = , ,\n", "2: title_terms has no terms"),
+], ids=["digits-word", "digits-underscore", "digits-arabic-indic", "digits-zero",
+        "no-title-terms"])
+def test_bad_config_value_names_its_line(tmp_path, capsys, text, fault):
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    conf = tmp_path / "features.conf"
+    conf.write_text("# tuning\n" + text, encoding="utf-8")
+    assert run(["extract", str(xml), "--config", str(conf)]) == 1
+    assert _error_line(capsys) == f"tocdetect: error[usage]: {conf}:{fault}\n"
 
 
 def test_config_affects_extraction(tmp_path, capsys):

@@ -83,6 +83,27 @@ def test_load_csv_error_rows_count_data_rows():
     assert exc.value.column == "contextual_term_count"
 
 
+@pytest.mark.parametrize("data, error, message", [
+    (b"contextual_term_count,label\nmany,TOC\n", DataTypeError,
+     "row 1, column 'contextual_term_count': expected integer, got 'many'"),
+    (b"contextual_term_count,label\n1_0,TOC\n", DataTypeError,
+     "row 1, column 'contextual_term_count': expected integer, got '1_0'"),
+    ("contextual_term_count,label\n\u0661,TOC\n".encode(), DataTypeError,
+     "row 1, column 'contextual_term_count': expected integer, got '\u0661'"),
+    (b"section_term_frequency,label\nhalf,TOC\n", DataTypeError,
+     "row 1, column 'section_term_frequency': expected real, got 'half'"),
+    (b"section_term_frequency,label\n0.0_5,TOC\n", DataTypeError,
+     "row 1, column 'section_term_frequency': expected real, got '0.0_5'"),
+    (b"contains_title_term,section_term_frequency,label\nYES,TOC\n", UnknownColumn,
+     "row 1 has 2 cells for 3 columns"),
+], ids=["count-word", "count-underscore", "count-arabic-indic", "real-word", "real-underscore",
+        "short-row"])
+def test_load_csv_rejects_bad_cells(data, error, message):
+    with pytest.raises(error) as exc:
+        load_csv(data)
+    assert str(exc.value) == message
+
+
 def test_load_csv_bad_style_level():
     with pytest.raises(DataTypeError):
         load_csv(b"title_term_style,label\nSHINY,TOC\n")
@@ -124,11 +145,21 @@ def test_dataset_rejects_duplicate_columns():
     ("title_term_style", "BOGUS", ClassLabel.TOC, "title_term_style"),
     ("title_term_font_class", " \t", ClassLabel.TOC, "title_term_font_class"),
     ("contains_title_term", True, "TOC", "label"),
-], ids=["bad-style-level", "blank-categorical", "str-label"])
+    ("contains_title_term", "YES", ClassLabel.TOC, "contains_title_term"),
+    ("title_term_font_class", 3, ClassLabel.TOC, "title_term_font_class"),
+    ("contextual_term_count", 1.0, ClassLabel.TOC, "contextual_term_count"),
+    ("contextual_term_count", "1", ClassLabel.TOC, "contextual_term_count"),
+], ids=["bad-style-level", "blank-categorical", "str-label", "str-in-bool", "int-in-categorical",
+        "float-in-count", "str-in-count"])
 def test_dataset_applies_the_csv_value_rules(column, value, label, fault_column):
     with pytest.raises(DataTypeError) as exc:
         Dataset(columns=(column,), rows=(((value,), label),))
     assert (exc.value.row, exc.value.column) == (1, fault_column)
+
+
+def test_dataset_rejects_row_of_wrong_width():
+    with pytest.raises(UnknownColumn, match="row 1 has 2 values for 1 columns"):
+        Dataset(columns=("contains_title_term",), rows=(((True, False), ClassLabel.TOC),))
 
 
 def test_dataset_holds_normalized_levels():

@@ -85,6 +85,36 @@ def test_negative_size_rejected_with_path(size):
     assert "token[1]" in str(exc.value)
 
 
+def _one_token(token: str, page_attrs: str = 'index="1"') -> bytes:
+    return (f'<document id="d"><page {page_attrs}><line>{token}</line></page></document>'
+            .encode())
+
+
+@pytest.mark.parametrize("data, message", [
+    (_one_token('<token bold="yes">x</token>'),
+     "document/page[1]/line[1]/token[1]: attribute bold='yes' is not true/false"),
+    (_one_token('<token size="big">x</token>'),
+     "document/page[1]/line[1]/token[1]: size='big' is not a decimal"),
+    (_one_token('<token size="1_2.5">x</token>'),
+     "document/page[1]/line[1]/token[1]: size='1_2.5' is not a decimal"),
+    (b'<document><page index="1"><line/></page></document>', "document: missing id attribute"),
+    (b'<document id="d"><section/></document>', "document/page[1]: unexpected element <section>"),
+    (_one_token("", page_attrs=""), "document/page[1]: missing index attribute"),
+    (_one_token("", page_attrs='index="one"'), "document/page[1]: index='one' is not an integer"),
+    (_one_token("", page_attrs='index="1_0"'), "document/page[1]: index='1_0' is not an integer"),
+    (_one_token("", page_attrs='index="\u0661\u0661"'),
+     "document/page[1]: index='\u0661\u0661' is not an integer"),
+    (b'<document id="d"><page index="1"><row/></page></document>',
+     "document/page[1]/line[1]: unexpected element <row>"),
+], ids=["bold-yes", "size-word", "size-underscore", "no-document-id", "non-page-child",
+        "no-page-index", "page-index-word", "page-index-underscore", "page-index-arabic-indic",
+        "non-line-child"])
+def test_schema_violation_names_element_path(data, message):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(data)
+    assert str(exc.value) == message
+
+
 def test_empty_token_text_rejected():
     data = b'<document id="d"><page index="1"><line><token>  </token></line></page></document>'
     with pytest.raises(SchemaViolation):

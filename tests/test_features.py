@@ -117,7 +117,8 @@ def test_style_scale_invariant(scale):
 @pytest.mark.parametrize(
     "first,expected",
     [("1.2", True), ("1.2.", True), ("7", True), ("1.2.3", True),
-     ("Chapter", False), ("1a", False), (".2", False), ("1..2", False)],
+     ("Chapter", False), ("1a", False), (".2", False), ("1..2", False),
+     ("\u0661.\u0662", False), ("1_0", False)],
 )
 def test_starts_with_number(first, expected):
     assert starts_with_number(line([first, "rest"], 0)) is expected

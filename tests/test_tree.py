@@ -233,6 +233,13 @@ def test_learn_rejects_tree_deeper_than_limit(monkeypatch):
         learn(chain(5))
 
 
+@pytest.mark.parametrize("limits", [{"min_rows": 0}, {"max_depth": 0}],
+                         ids=["min-rows-0", "max-depth-0"])
+def test_learn_rejects_limits_below_one(limits):
+    with pytest.raises(ValueError, match=f"{next(iter(limits))} must be >= 1"):
+        learn(table1_fixture(), **limits)
+
+
 def test_min_rows_prevents_splitting_small_nodes():
     data = make_dataset(
         ["outgoing_link_frequency"],
@@ -276,6 +283,34 @@ def test_export_dot_is_valid_digraph():
     assert dot.startswith("digraph decision_tree {")
     assert dot.rstrip().endswith("}")
     assert "->" in dot
+
+
+def test_exports_render_categorical_branches():
+    links = NumericNode((1, 1), "outgoing_link_frequency", 0.5, Leaf((1, 0)), Leaf((0, 1)))
+    root = CategoricalNode((3, 1), "title_term_style",
+                           {"LARGEST": Leaf((2, 0)), "MOST_FREQUENT": links})
+    model = TrainedModel(root=root, columns=("title_term_style", "outgoing_link_frequency"))
+    assert export_text(model) == (
+        "title_term_style?\n"
+        "    = LARGEST: → TOC (2/0)\n"
+        "    = MOST_FREQUENT: outgoing_link_frequency <= 0.5?\n"
+        "        yes: → TOC (1/0)\n"
+        "        no: → NON-TOC (0/1)\n"
+    )
+    assert export_dot(model) == (
+        "digraph decision_tree {\n"
+        "  node [shape=ellipse];\n"
+        '  n0 [label="title_term_style", shape=box];\n'
+        '  n1 [label="TOC (2/0)"];\n'
+        '  n0 -> n1 [label="= LARGEST"];\n'
+        '  n2 [label="outgoing_link_frequency", shape=box];\n'
+        '  n3 [label="TOC (1/0)"];\n'
+        '  n2 -> n3 [label="<= 0.5"];\n'
+        '  n4 [label="NON-TOC (0/1)"];\n'
+        '  n2 -> n4 [label="> 0.5"];\n'
+        '  n0 -> n2 [label="= MOST_FREQUENT"];\n'
+        "}\n"
+    )
 
 
 def test_exports_deterministic():
@@ -327,6 +362,11 @@ def test_truncated_model_is_corrupt():
     data = save_model(learn(table1_fixture()))
     with pytest.raises(CorruptModel):
         load_model(data[: len(data) // 2])
+
+
+def test_top_level_array_is_corrupt():
+    with pytest.raises(CorruptModel, match="top-level JSON value is not an object"):
+        load_model(b"[" + save_model(learn(table1_fixture())) + b"]")
 
 
 def test_unsupported_version():
