@@ -29,8 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ascii_number(text: str, kind=float):
+    try:
+        return parse_number(text, kind)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an ASCII {kind.__name__} without '_'")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _ascii_number(text, int)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -62,7 +69,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("predict", help="detect TOC pages in a document")
     p.add_argument("model", metavar="MODEL")
     p.add_argument("document", metavar="DOC.xml")
-    p.add_argument("--prefix", type=float, default=0.3,
+    p.add_argument("--prefix", type=_ascii_number, default=0.3,
                    help="leading fraction of pages to scan (default 0.3)")
     add_common(p, fmt=("text", "json"))
 
@@ -175,8 +182,7 @@ def _write_output(payload: bytes, out_path: str | None):
 
 def _read_model(path: str) -> tree.TrainedModel:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = _read_bytes(path)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc.strerror}") from exc
     return tree.load_model(data)
@@ -267,12 +273,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"tocdetect: error[usage]: {exc}", file=sys.stderr)
         return 1
-    except ModelError as exc:
-        print(f"tocdetect: error[{exc.code}]: {exc}", file=sys.stderr)
-        return 3
     except TocDetectError as exc:
         print(f"tocdetect: error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ModelError) else 2
     except OSError as exc:
         print(f"tocdetect: error[io]: {exc}", file=sys.stderr)
         return 2

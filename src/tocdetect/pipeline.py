@@ -1,8 +1,8 @@
 """Document scanning and model evaluation.
 
-detect() scans the leading fraction of a document's pages, extracts
-features, and classifies each page. evaluate() and leave_one_out() tally
-confusion matrices against gold labels, with TOC as the positive class.
+detect() classifies the leading fraction of a document's pages with
+classify(), which checks every value. evaluate() and leave_one_out() tally
+confusion matrices (TOC positive) on a Dataset's rows, taken as checked.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .docmodel import DocumentModel
 from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
 from .schema import ClassLabel
-from .tree import TrainedModel, classify, learn
+from .tree import TrainedModel, _learn_rows, _walk, classify
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,8 @@ def evaluate(model: TrainedModel, data: Dataset) -> EvaluationReport:
     missing = [c for c in model.columns if c not in data.columns]
     if missing:
         raise ColumnMismatch(f"dataset lacks model columns: {', '.join(missing)}")
-    pairs = []
-    for values, gold in data.rows:
-        vector = dict(zip(data.columns, values))
-        predicted, _ = classify(model, vector)
-        pairs.append((gold, predicted))
-    return _tally(pairs)
+    return _tally((gold, _walk(model.root, dict(zip(data.columns, values)))[0])
+                  for values, gold in data.rows)
 
 
 def leave_one_out(
@@ -164,13 +160,9 @@ def leave_one_out(
     """Hold out each row in turn, train on the rest, classify the held-out row."""
     if len(data.rows) < 2:
         raise EmptyDataset("leave-one-out needs at least 2 rows")
+    rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
     pairs = []
-    for i, (values, gold) in enumerate(data.rows):
-        rest = Dataset(
-            columns=data.columns,
-            rows=tuple(row for j, row in enumerate(data.rows) if j != i),
-        )
-        model = learn(rest, max_depth=max_depth, min_rows=min_rows)
-        predicted, _ = classify(model, dict(zip(data.columns, values)))
-        pairs.append((gold, predicted))
+    for i, (vector, gold) in enumerate(rows):
+        model = _learn_rows(rows[:i] + rows[i + 1:], data.columns, max_depth, min_rows)
+        pairs.append((gold, _walk(model.root, vector)[0]))
     return _tally(pairs)

@@ -187,17 +187,18 @@ def learn(
     """Induce a decision tree from a labeled dataset. Deterministic; DatasetError if too deep."""
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
+    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
+    return _learn_rows(rows, data.columns, max_depth, min_rows, config)
+
+
+def _learn_rows(rows, columns, max_depth, min_rows, config=None) -> TrainedModel:
+    """learn() on non-empty rows already checked, as (column -> tree-form value, label)."""
     if min_rows < 1:
         raise ValueError("min_rows must be >= 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
-    root = _build(rows, list(data.columns), 0, max_depth, min_rows)
-    return TrainedModel(
-        root=root,
-        columns=tuple(data.columns),
-        config_echo=config or FeatureConfig(),
-    )
+    root = _build(rows, list(columns), 0, max_depth, min_rows)
+    return TrainedModel(root=root, columns=tuple(columns), config_echo=config or FeatureConfig())
 
 
 def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
@@ -212,7 +213,11 @@ def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
         if column not in vector:
             raise MissingFeature(column)
         values[column] = schema.check_value(column, vector[column])
-    node = model.root
+    return _walk(model.root, values)
+
+
+def _walk(node: TreeNode, values: Mapping) -> tuple[ClassLabel, Counts]:
+    """classify() on values already checked: column -> value as check_value returns it."""
     while not isinstance(node, Leaf):
         value = values[node.feature]
         if isinstance(node, NumericNode):

@@ -152,6 +152,24 @@ def test_learner_limits_below_one_are_usage_errors(fixture_csv, capsys, argv, fl
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["١", "1_0", "x"], ids=["arabic-indic", "underscore", "word"])
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["train", "CSV", "--out", "OUT"], "--max-depth", "int"),
+    (["eval", "--loo", "CSV"], "--min-rows", "int"),
+    (["predict", "MODEL", "DOC"], "--prefix", "float"),
+], ids=["max-depth", "min-rows", "prefix"])
+def test_flag_numbers_follow_the_input_file_rule(tmp_path, fixture_csv, model_file, capsys,
+                                                 argv, flag, kind, value):
+    # the rule XML, CSV, labels and config numbers follow: ASCII, without '_'
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    paths = {"CSV": fixture_csv, "OUT": tmp_path / "m.json", "MODEL": model_file, "DOC": xml}
+    assert run([str(paths.get(arg, arg)) for arg in argv] + [flag, value]) == 1
+    assert _error_line(capsys) == (
+        f"tocdetect: error[usage]: argument {flag}: {value!r} is not an ASCII {kind} without '_'\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--max-depth", "--min-rows"])
 def test_eval_learner_limits_need_loo(fixture_csv, model_file, capsys, flag):
     assert run(["eval", str(model_file), str(fixture_csv), flag, "1"]) == 1

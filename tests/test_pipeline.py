@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tocdetect import schema
 from tocdetect.dataset import Dataset, load_csv, table1_fixture
 from tocdetect.errors import ColumnMismatch, EmptyDataset
 from tocdetect.pipeline import (
@@ -15,7 +17,7 @@ from tocdetect.pipeline import (
     scan_count,
 )
 from tocdetect.schema import ClassLabel
-from tocdetect.tree import Leaf, TrainedModel, learn
+from tocdetect.tree import Leaf, TrainedModel, classify, learn
 
 from helpers import canonical_toc_page, doc, page
 
@@ -176,3 +178,89 @@ def test_loo_requires_two_rows():
     data = Dataset(columns=("contains_title_term",), rows=(((True,), TOC),))
     with pytest.raises(EmptyDataset):
         leave_one_out(data)
+
+
+@pytest.mark.parametrize("limits", [{"min_rows": 0}, {"max_depth": 0}],
+                         ids=["min-rows-0", "max-depth-0"])
+def test_loo_rejects_limits_below_one(limits):
+    with pytest.raises(ValueError, match=f"{next(iter(limits))} must be >= 1"):
+        leave_one_out(table1_fixture(), **limits)
+
+
+# -- one check per value ------------------------------------------------------------
+
+def test_evaluate_and_loo_check_no_value_a_dataset_holds(monkeypatch):
+    data = table1_fixture()
+    model = learn(data)
+    checked = []
+    check_value = schema.check_value
+
+    def counting(column, value, row=None):
+        checked.append(column)
+        return check_value(column, value, row=row)
+
+    monkeypatch.setattr(schema, "check_value", counting)
+    evaluate(model, data)
+    leave_one_out(data)
+    leave_one_out(data, max_depth=1, min_rows=2)
+    assert checked == []
+    classify(model, dict(zip(data.columns, data.rows[0][0])))
+    assert checked == list(model.columns)  # the public walk still checks its input
+
+
+# training draws each categorical column from all levels but the last, so test rows
+# may carry a level no node has a branch for; levels are given in unnormalized spellings
+_LEVELS = {
+    "title_term_style": ["largest", "Most-Frequent", "NA", "intermediate"],
+    "title_term_font_class": ["Times New Roman", "ARIAL", "courier-new"],
+}
+_VALUES = {
+    "contains_title_term": st.booleans(),
+    "numbers_ascending": st.booleans(),
+    "contextual_term_count": st.integers(0, 4),
+    "section_term_frequency": st.floats(0, 1),
+    "outgoing_link_frequency": st.sampled_from([i / 4 for i in range(5)]),
+}
+
+
+@st.composite
+def _train_test(draw):
+    columns = tuple(draw(st.lists(st.sampled_from(sorted({*_VALUES, *_LEVELS})),
+                                  min_size=1, max_size=4, unique=True)))
+
+    def dataset(min_size, seen_levels_only):
+        def value(column):
+            if column in _LEVELS:
+                levels = _LEVELS[column][:-1] if seen_levels_only else _LEVELS[column]
+                return draw(st.sampled_from(levels))
+            return draw(_VALUES[column])
+
+        n = draw(st.integers(min_size, 12))
+        return Dataset(columns=columns, rows=tuple(
+            (tuple(value(c) for c in columns), draw(st.sampled_from([TOC, NON])))
+            for _ in range(n)))
+
+    limits = draw(st.fixed_dictionaries({}, optional={
+        "max_depth": st.integers(1, 3), "min_rows": st.integers(1, 3)}))
+    return dataset(2, True), dataset(1, False), limits
+
+
+def _tally_of(pairs):
+    c = Counter(pairs)
+    return EvaluationReport(tp=c[TOC, TOC], fp=c[NON, TOC], fn=c[TOC, NON], tn=c[NON, NON])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_train_test())
+def test_evaluate_and_loo_match_the_public_classify(train_test_limits):
+    train, test, limits = train_test_limits
+    model = learn(train, **limits)
+    assert evaluate(model, test) == _tally_of(
+        (gold, classify(model, dict(zip(test.columns, values)))[0]) for values, gold in test.rows)
+    # reference: for each fold, learn from a newly checked Dataset and classify publicly
+    folds = []
+    for i, (values, gold) in enumerate(train.rows):
+        rest = Dataset(columns=train.columns, rows=train.rows[:i] + train.rows[i + 1:])
+        fold_model = learn(rest, **limits)
+        folds.append((gold, classify(fold_model, dict(zip(train.columns, values)))[0]))
+    assert leave_one_out(train, **limits) == _tally_of(folds)
