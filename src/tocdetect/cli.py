@@ -154,6 +154,8 @@ def _load_labels(path: str, pages: set) -> dict:
             labels[index] = parse_label(parts[1])
         except DataTypeError:
             raise UsageError(f"{path}:{lineno}: unknown label {parts[1]!r}")
+    if not labels:
+        raise UsageError(f"{path}: holds no page labels")
     return labels
 
 

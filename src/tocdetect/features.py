@@ -81,30 +81,29 @@ class FeatureVector:
 def find_title_line(page: Page, cfg: FeatureConfig):
     """Locate the best title-term line on a page.
 
-    A line is a candidate if its lowercased, whitespace-normalized text
-    contains a configured phrase as a contiguous word sequence; longer
-    phrases are tried first per line, equal lengths in config order. The
-    contextual count is the number of tokens on that line taking no part in
-    the matched phrase. Returns (line_index, contextual_count,
-    matched_phrase) for the candidate with the fewest contextual tokens
-    (ties: earliest line), or None.
+    A line is a candidate if its lowercased words, joined with single
+    spaces and padded with a space at each end, contain " phrase " for a
+    configured phrase; one `str.find` per phrase finds it, and the spaces
+    before the hit count the words before it. Longer phrases are tried
+    first per line, equal lengths in config order. The contextual count is
+    the number of tokens on that line taking no part in the matched phrase.
+    Returns (line_index, contextual_count, matched_phrase) for the candidate
+    with the fewest contextual tokens (ties: earliest line), or None.
     """
-    phrases = sorted((phrase.split() for phrase in cfg.title_terms), key=len, reverse=True)
+    phrases = sorted(cfg.title_terms, key=lambda phrase: phrase.count(" "), reverse=True)
     best = None
     for line in page.lines:
-        words, owners = [], []  # lowercased words; tokens may hold several words
-        for ti, tok in enumerate(line.tokens):
-            for word in tok.text.lower().split():
-                words.append(word)
-                owners.append(ti)
-        for phrase_words in phrases:
-            n = len(phrase_words)
-            span = next((i for i in range(len(words) - n + 1) if words[i:i + n] == phrase_words),
-                        None)
-            if span is not None:
-                contextual = len(line.tokens) - len(set(owners[span:span + n]))
+        token_words = [tok.text.lower().split() for tok in line.tokens]  # zero or more per token
+        text = f" {' '.join(word for words in token_words for word in words)} "
+        for phrase in phrases:
+            at = text.find(f" {phrase} ")
+            if at != -1:
+                owners = [ti for ti, words in enumerate(token_words) for _ in words]
+                start = text.count(" ", 0, at)  # words before the hit
+                used = owners[start:start + phrase.count(" ") + 1]
+                contextual = len(line.tokens) - len(set(used))
                 if best is None or (contextual, line.index) < (best[1], best[0]):
-                    best = (line.index, contextual, " ".join(phrase_words))
+                    best = (line.index, contextual, phrase)
                 break
     return best
 
@@ -116,16 +115,11 @@ def title_style(page: Page, title_line_index: int) -> str:
     the page-wide modal size (mode by token count; tied modes resolve to
     the largest size). Sizes compare by exact equality.
     """
-    line = page.lines[title_line_index]
-    sizes = [tok.font_size for ln in page.lines for tok in ln.tokens]
-    s = max(tok.font_size for tok in line.tokens)
-    page_max = max(sizes)
-    counts = Counter(sizes)
-    top = max(counts.values())
-    modal = max(size for size, c in counts.items() if c == top)
-    if s == page_max:
+    counts = Counter(tok.font_size for ln in page.lines for tok in ln.tokens)
+    s = max(tok.font_size for tok in page.lines[title_line_index].tokens)
+    if s == max(counts):
         return "LARGEST"
-    if s == modal:
+    if s == max(counts, key=lambda size: (counts[size], size)):
         return "MOST_FREQUENT"
     return "INTERMEDIATE"
 

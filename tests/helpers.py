@@ -102,6 +102,35 @@ def brute_force_best_split(rows, columns):
     )
 
 
+def brute_force_title_line(page, cfg):
+    """Independent word-window title-line finder.
+
+    Slides every configured phrase, as a word list, over each line's
+    lowercased words; longer phrases first per line, equal lengths in
+    config order; the best line has the fewest tokens outside the match
+    (ties: earliest line). Returns (line_index, contextual_count,
+    matched_phrase) or None.
+    """
+    phrases = sorted((phrase.split() for phrase in cfg.title_terms), key=len, reverse=True)
+    best = None
+    for line in page.lines:
+        words, owners = [], []  # lowercased words; tokens may hold several words
+        for ti, token in enumerate(line.tokens):
+            for word in token.text.lower().split():
+                words.append(word)
+                owners.append(ti)
+        for phrase_words in phrases:
+            n = len(phrase_words)
+            span = next((i for i in range(len(words) - n + 1) if words[i:i + n] == phrase_words),
+                        None)
+            if span is not None:
+                contextual = len(line.tokens) - len(set(owners[span:span + n]))
+                if best is None or (contextual, line.index) < (best[1], best[0]):
+                    best = (line.index, contextual, " ".join(phrase_words))
+                break
+    return best
+
+
 def route_json_tree(node, vector):
     """Independent walker over a saved model's JSON root node.
 

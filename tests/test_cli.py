@@ -80,8 +80,9 @@ def test_extract_with_labels(tmp_path, capsys):
     ("x TOC\n", "labels.txt:1: bad page index 'x'"),
     ("1 NON-TOC\n1_0 TOC\n", "labels.txt:2: bad page index '1_0'"),
     ("\u0661 TOC\n", "labels.txt:1: bad page index '\u0661'"),
+    ("# nothing\n\n", "labels.txt: holds no page labels"),
 ], ids=["unknown-label", "repeated-index", "page-not-in-document", "index-word",
-        "index-underscore", "index-arabic-indic"])
+        "index-underscore", "index-arabic-indic", "no-labels"])
 def test_extract_bad_labels_file_exit_1(tmp_path, capsys, text, fault):
     xml = tmp_path / "doc.xml"
     xml.write_bytes(write_document_xml(synthetic_book(n_pages=2)))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tocdetect import dataset as dataset_mod
 from tocdetect.cli import load_feature_config
@@ -17,7 +17,7 @@ from tocdetect.features import (
 )
 from tocdetect.schema import ClassLabel
 
-from helpers import canonical_toc_page, line, page, tok
+from helpers import brute_force_title_line, canonical_toc_page, line, page, tok
 
 CFG = FeatureConfig()
 
@@ -78,6 +78,36 @@ def test_title_line_ignores_case_and_style_flags(bold, italic, text):
     assert find_title_line(p, CFG) == (0, 0, "contents")
 
 
+# words that change under lower(), overlap each other or match the terms below
+_TITLE_WORDS = st.sampled_from([
+    "table", "Table", "TABLE", "of", "OF", "content", "Contents", "CONTENTS", "index", "inhalt",
+    "\u0130", "i\u0307", "\u00df", "ss", "\u03a3", "\u0391\u03a3", "\u03b1\u03c2", "x",
+    "table of", "of\u00a0contents", "TABLE OF CONTENT",
+])
+_SPACES = st.sampled_from([" ", "\u00a0", "\u2003", "\t", "  "])
+# a token holds zero, one or several words; separators and padding are Unicode whitespace
+_title_tokens = st.builds(
+    lambda words, seps, pad: pad + "".join(w + s for w, s in zip(words, seps)).rstrip() + pad,
+    st.lists(_TITLE_WORDS, max_size=4), st.lists(_SPACES, min_size=4, max_size=4),
+    st.sampled_from(["", " ", "\u2003"]),
+).map(tok)
+_title_configs = st.lists(
+    st.sampled_from(["content", "contents", "table of content", "table of contents", "of",
+                     "Index", "inhalt", "\u0130", "\u00df", "SS", "\u03a3", "\u03b1\u03c2",
+                     "table\u00a0 of\tcontents", "Of Contents"]),
+    min_size=1, max_size=5,
+).map(lambda terms: FeatureConfig(title_terms=tuple(terms)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_title_tokens, max_size=6), max_size=5), st.data(), _title_configs)
+def test_title_line_matches_word_window_oracle(specs, data, cfg):
+    # line indexes are shuffled, so the earliest-line tie rule reads Line.index, not position
+    order = data.draw(st.permutations(range(len(specs))))
+    p = Page(index=1, lines=tuple(Line(tokens=tuple(t), index=i) for t, i in zip(specs, order)))
+    assert find_title_line(p, cfg) == brute_force_title_line(p, cfg)
+
+
 # -- title_style -------------------------------------------------------------
 
 def _styled_page(title_size, other_sizes):
@@ -110,6 +140,21 @@ def test_style_scale_invariant(scale):
         [[tok(t.text, font_size=t.font_size * scale) for t in ln.tokens] for ln in base.lines]
     )
     assert title_style(base, 0) == title_style(scaled, 0)
+
+
+_sizes = st.sampled_from([0.0, 9.5, 12.0, 18.0, 24.0]) | st.floats(0.0, 1e6)
+
+
+@given(st.lists(st.lists(_sizes, min_size=1, max_size=4), min_size=1, max_size=6), st.data())
+def test_style_matches_max_and_mode_oracle(size_lines, data):
+    p = page([[tok("w", font_size=s) for s in sizes] for sizes in size_lines])
+    title = data.draw(st.integers(0, len(size_lines) - 1))
+    every = [s for sizes in size_lines for s in sizes]
+    top = max(every.count(s) for s in every)
+    modal = max(s for s in every if every.count(s) == top)  # tied modes: the larger size
+    s = max(size_lines[title])
+    expected = "LARGEST" if s == max(every) else "MOST_FREQUENT" if s == modal else "INTERMEDIATE"
+    assert title_style(p, title) == expected
 
 
 # -- line number heuristics ---------------------------------------------------
