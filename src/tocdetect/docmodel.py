@@ -1,7 +1,7 @@
 """Structured page model parsed from the documented XML schema.
 
 The XML producer (an external PDF/OCR converter) supplies pre-segmented
-tokens; this module only parses and validates:
+tokens; this module parses and validates them in one expat pass:
 
     <document id="STRING">
       <page index="POSITIVE-INT">
@@ -12,11 +12,12 @@ tokens; this module only parses and validates:
       </page>
     </document>
 
-Page index attributes must be strictly increasing in document order.
-Unknown elements inside <line> and unknown <token> attributes are ignored
-with a warning; other attributes on <document>, <page> and <line> are
-ignored silently. A <token> holds text only. Input is UTF-8 unless an XML
-declaration names another encoding; a leading UTF-8 BOM is tolerated.
+Page indexes must strictly increase in document order. Unknown elements
+inside <line> and unknown <token> attributes are ignored with a warning,
+logged only for well-formed input; other attributes on <document>, <page>
+and <line> are ignored silently. A <token> holds text only. Input is
+UTF-8 unless an XML declaration names another encoding; a leading UTF-8
+BOM is tolerated. Names read as in ElementTree: "{uri}local" if namespaced.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from __future__ import annotations
 import codecs
 import logging
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from xml.parsers import expat
 
 from .errors import MalformedXml, SchemaViolation
 from .schema import parse_number
 
 log = logging.getLogger(__name__)
+_TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """One token; parse_document guarantees trimmed, non-empty text and a finite size >= 0."""
     text: str
@@ -62,92 +64,120 @@ class DocumentModel:
     pages: tuple[Page, ...]
 
 
-def _parse_bool(raw: str, path: str, attr: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false", path)
+def _et_name(name: str) -> str:
+    """ElementTree's spelling of an expat name: expat's "uri}local" becomes "{uri}local"."""
+    return "{" + name if "}" in name else name
 
 
-_TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
+def _expat_parse(xml_bytes: bytes, chardata, start=None, end=None) -> None:
+    """Run expat set up as ElementTree.fromstring sets it up, so both reject the same input."""
+    parser = expat.ParserCreate(namespace_separator="}")
 
+    def undefined_entity(data):  # how ElementTree hears of a reference expat could not expand
+        if data.startswith("&") and len(data) >= 2:
+            name = data.encode()[:100].decode(errors="replace")  # ElementTree's 100-byte cut
+            raise MalformedXml(f"undefined entity {name}: line {parser.CurrentLineNumber}, "
+                               f"column {parser.CurrentColumnNumber}")
 
-def _parse_token(elem: ET.Element, path: str) -> Token:
-    if len(elem):  # elem.text stops at the first child, so the text after it would be lost
-        raise SchemaViolation(f"unexpected element <{elem[0].tag}>", path)
-    for attr in elem.attrib:
-        if attr not in _TOKEN_ATTRS:
-            log.warning("%s: ignoring unknown attribute %r", path, attr)
-    text = (elem.text or "").strip()
-    if not text:
-        raise SchemaViolation("token has empty text", path)
-    raw_size = elem.get("size", "0.0")
+    parser.DefaultHandlerExpand = undefined_entity
+    parser.CharacterDataHandler = chardata
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
     try:
-        size = parse_number(raw_size, float)
-    except ValueError:
-        raise SchemaViolation(f"size={raw_size!r} is not a decimal", path)
-    if not (math.isfinite(size) and size >= 0.0):
-        raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal", path)
-    font = elem.get("font", "")  # blank counts as absent, so no feature gets an empty level
-    return Token(
-        text=text,
-        font_family=font if font.strip() else "unknown",
-        font_size=size,
-        bold=_parse_bool(elem.get("bold", "false"), path, "bold"),
-        italic=_parse_bool(elem.get("italic", "false"), path, "italic"),
-        link_target=elem.get("link"),
-    )
+        parser.Parse(xml_bytes, True)
+    except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: bad encoding="..."
+        raise MalformedXml(str(exc)) from exc
 
 
 def parse_document(xml_bytes: bytes) -> DocumentModel:
     """Parse and validate document XML; raises MalformedXml / SchemaViolation."""
     if xml_bytes.startswith(codecs.BOM_UTF8):
         xml_bytes = xml_bytes[len(codecs.BOM_UTF8):]
-    try:
-        root = ET.fromstring(xml_bytes)
-    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: unusable encoding="..."
-        raise MalformedXml(str(exc)) from exc
+    pages, lines, tokens, chunks, warnings = [], [], [], [], []
+    doc_id = token_attrs = None  # token_attrs: the open <token>'s; None in an unknown element
+    depth = prev_index = child = 0  # child: 1-based among the open <line>'s elements
 
-    if root.tag != "document":
-        raise SchemaViolation(f"root element is <{root.tag}>, expected <document>", root.tag)
-    doc_id = root.get("id")
-    if doc_id is None:
-        raise SchemaViolation("missing id attribute", "document")
+    def path(level):  # of the open page (2), line (3) or token (4)
+        steps = "document", f"page[{len(pages) + 1}]", f"line[{len(lines) + 1}]", f"token[{child}]"
+        return "/".join(steps[:level])
 
-    pages = []
-    prev_index = 0
-    for p, page_elem in enumerate(root):
-        path = f"document/page[{p + 1}]"
-        if page_elem.tag != "page":
-            raise SchemaViolation(f"unexpected element <{page_elem.tag}>", path)
-        raw_index = page_elem.get("index")
-        if raw_index is None:
-            raise SchemaViolation("missing index attribute", path)
-        try:
-            index = parse_number(raw_index)
-        except ValueError:
-            raise SchemaViolation(f"index={raw_index!r} is not an integer", path)
-        if index <= prev_index:
-            raise SchemaViolation(
-                f"page index {index} not strictly greater than {prev_index}", path
-            )
-        prev_index = index
+    def start(name, attrs):
+        nonlocal depth, doc_id, prev_index, child, token_attrs
+        depth += 1
+        if depth == 4:  # a child of <line>
+            child += 1
+            token_attrs = attrs if name == "token" else None
+            if token_attrs is None:
+                warnings.append(("%s: ignoring unknown element <%s>", path(3), _et_name(name)))
+            chunks.clear()
+        elif depth == 5 and token_attrs is not None:
+            raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(4))
+        elif depth == 1:
+            name = _et_name(name)
+            if name != "document":
+                raise SchemaViolation(f"root element is <{name}>, expected <document>", name)
+            doc_id = attrs.get("id")
+            if doc_id is None:
+                raise SchemaViolation("missing id attribute", "document")
+        elif depth < 4 and name != ("page" if depth == 2 else "line"):
+            raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(depth))
+        elif depth == 2:
+            raw_index = attrs.get("index")
+            if raw_index is None:
+                raise SchemaViolation("missing index attribute", path(2))
+            try:
+                index = parse_number(raw_index)
+            except ValueError:
+                raise SchemaViolation(f"index={raw_index!r} is not an integer", path(2))
+            if index <= prev_index:
+                raise SchemaViolation(f"page index {index} not strictly greater than {prev_index}",
+                                      path(2))
+            prev_index = index
 
-        lines = []
-        for l, line_elem in enumerate(page_elem):
-            line_path = f"{path}/line[{l + 1}]"
-            if line_elem.tag != "line":
-                raise SchemaViolation(f"unexpected element <{line_elem.tag}>", line_path)
-            tokens = []
-            for t, tok_elem in enumerate(line_elem):
-                if tok_elem.tag != "token":
-                    log.warning("%s: ignoring unknown element <%s>", line_path, tok_elem.tag)
-                    continue
-                tokens.append(_parse_token(tok_elem, f"{line_path}/token[{t + 1}]"))
+    def end(name):
+        nonlocal depth, child
+        depth -= 1
+        if depth == 3 and token_attrs is not None:  # </token>
+            for attr in token_attrs:
+                if attr not in _TOKEN_ATTRS:
+                    warnings.append(("%s: ignoring unknown attribute %r", path(4), _et_name(attr)))
+            text = "".join(chunks).strip()
+            if not text:
+                raise SchemaViolation("token has empty text", path(4))
+            raw_size = token_attrs.get("size", "0.0")
+            try:
+                size = parse_number(raw_size, float)
+            except ValueError:
+                raise SchemaViolation(f"size={raw_size!r} is not a decimal", path(4))
+            if not (math.isfinite(size) and size >= 0.0):
+                raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal",
+                                      path(4))
+            for attr in ("bold", "italic"):
+                raw = token_attrs.get(attr, "false")
+                if raw not in ("true", "false"):
+                    raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false", path(4))
+            font = token_attrs.get("font", "")  # blank counts as absent: no empty feature level
+            tokens.append(Token(text, font if font.strip() else "unknown", size,
+                                token_attrs.get("bold") == "true",
+                                token_attrs.get("italic") == "true", token_attrs.get("link")))
+        elif depth == 2:  # </line>
             lines.append(Line(tokens=tuple(tokens), index=len(lines)))
-        pages.append(Page(index=index, lines=tuple(lines)))
+            tokens.clear()
+            child = 0
+        elif depth == 1:  # </page>
+            pages.append(Page(index=prev_index, lines=tuple(lines)))
+            lines.clear()
 
+    violation = None
+    try:
+        _expat_parse(xml_bytes, chunks.append, start, end)  # text may come in several chunks
+    except SchemaViolation as exc:
+        violation = exc  # ElementTree parsed all input before any check: a malformed byte wins
+        _expat_parse(xml_bytes, lambda data: None)
+    for warning in warnings:  # held until the whole input is known to be well-formed
+        log.warning(*warning)
+    if violation is not None:
+        raise violation
     if not pages:
         raise SchemaViolation("document has no pages", "document")
     return DocumentModel(id=doc_id, pages=tuple(pages))

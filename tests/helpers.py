@@ -1,9 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
+import codecs
+import logging
 import math
+import xml.etree.ElementTree as ET
 
 from tocdetect.docmodel import DocumentModel, Line, Page, Token
-from tocdetect.schema import CANONICAL_COLUMNS, Kind, canonical_index, format_value
+from tocdetect.errors import MalformedXml, SchemaViolation
+from tocdetect.schema import CANONICAL_COLUMNS, Kind, canonical_index, format_value, parse_number
+
+log = logging.getLogger("tocdetect.docmodel")  # the reference parser warns where docmodel does
 
 
 # "billion laughs": nine levels of ten-fold entity references inside one token
@@ -150,3 +156,98 @@ def route_json_tree(node, vector):
         if parse_value(body["feature"], key) == vector[body["feature"]]:
             return route_json_tree(child, vector)
     return body["majority"]
+
+
+def _parse_bool(raw: str, path: str, attr: str) -> bool:
+    if raw == "true":
+        return True
+    if raw == "false":
+        return False
+    raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false", path)
+
+
+_TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
+
+
+def _parse_token(elem: ET.Element, path: str) -> Token:
+    if len(elem):  # elem.text stops at the first child, so the text after it would be lost
+        raise SchemaViolation(f"unexpected element <{elem[0].tag}>", path)
+    for attr in elem.attrib:
+        if attr not in _TOKEN_ATTRS:
+            log.warning("%s: ignoring unknown attribute %r", path, attr)
+    text = (elem.text or "").strip()
+    if not text:
+        raise SchemaViolation("token has empty text", path)
+    raw_size = elem.get("size", "0.0")
+    try:
+        size = parse_number(raw_size, float)
+    except ValueError:
+        raise SchemaViolation(f"size={raw_size!r} is not a decimal", path)
+    if not (math.isfinite(size) and size >= 0.0):
+        raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal", path)
+    font = elem.get("font", "")  # blank counts as absent, so no feature gets an empty level
+    return Token(
+        text=text,
+        font_family=font if font.strip() else "unknown",
+        font_size=size,
+        bold=_parse_bool(elem.get("bold", "false"), path, "bold"),
+        italic=_parse_bool(elem.get("italic", "false"), path, "italic"),
+        link_target=elem.get("link"),
+    )
+
+
+def reference_parse_document(xml_bytes: bytes) -> DocumentModel:
+    """The ElementTree parser that docmodel.parse_document replaced, kept as its reference.
+
+    Parses the whole input with ElementTree, then walks the tree into the model;
+    raises MalformedXml / SchemaViolation and logs warnings as the walk meets them.
+    """
+    if xml_bytes.startswith(codecs.BOM_UTF8):
+        xml_bytes = xml_bytes[len(codecs.BOM_UTF8):]
+    try:
+        root = ET.fromstring(xml_bytes)
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: unusable encoding="..."
+        raise MalformedXml(str(exc)) from exc
+
+    if root.tag != "document":
+        raise SchemaViolation(f"root element is <{root.tag}>, expected <document>", root.tag)
+    doc_id = root.get("id")
+    if doc_id is None:
+        raise SchemaViolation("missing id attribute", "document")
+
+    pages = []
+    prev_index = 0
+    for p, page_elem in enumerate(root):
+        path = f"document/page[{p + 1}]"
+        if page_elem.tag != "page":
+            raise SchemaViolation(f"unexpected element <{page_elem.tag}>", path)
+        raw_index = page_elem.get("index")
+        if raw_index is None:
+            raise SchemaViolation("missing index attribute", path)
+        try:
+            index = parse_number(raw_index)
+        except ValueError:
+            raise SchemaViolation(f"index={raw_index!r} is not an integer", path)
+        if index <= prev_index:
+            raise SchemaViolation(
+                f"page index {index} not strictly greater than {prev_index}", path
+            )
+        prev_index = index
+
+        lines = []
+        for l, line_elem in enumerate(page_elem):
+            line_path = f"{path}/line[{l + 1}]"
+            if line_elem.tag != "line":
+                raise SchemaViolation(f"unexpected element <{line_elem.tag}>", line_path)
+            tokens = []
+            for t, tok_elem in enumerate(line_elem):
+                if tok_elem.tag != "token":
+                    log.warning("%s: ignoring unknown element <%s>", line_path, tok_elem.tag)
+                    continue
+                tokens.append(_parse_token(tok_elem, f"{line_path}/token[{t + 1}]"))
+            lines.append(Line(tokens=tuple(tokens), index=len(lines)))
+        pages.append(Page(index=index, lines=tuple(lines)))
+
+    if not pages:
+        raise SchemaViolation("document has no pages", "document")
+    return DocumentModel(id=doc_id, pages=tuple(pages))

@@ -443,9 +443,11 @@ def test_fixture_table1_byte_identical(tmp_path):
 
 def test_cli_import_leaves_out_xml_escaping():
     # only the debug writer escapes XML, and xml.sax.saxutils pulls in urllib.request and
-    # http.client, so a fresh `import tocdetect.cli` must load none of them
+    # http.client, so a fresh `import tocdetect.cli` must load none of them; the parser is
+    # pyexpat alone, so ElementTree stays out too
     probe = ("import sys; bare = set(sys.modules); import tocdetect.cli; print(sorted("
-             "{'xml.sax.saxutils', 'urllib.request', 'http.client'} & (set(sys.modules) - bare)))")
+             "{'xml.sax.saxutils', 'urllib.request', 'http.client', 'xml.etree.ElementTree'}"
+             " & (set(sys.modules) - bare)))")
     src = os.path.dirname(os.path.dirname(tree.__file__))
     result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True)

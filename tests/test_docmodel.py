@@ -1,7 +1,9 @@
 import codecs
+import logging
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tocdetect.docmodel import (
     DocumentModel,
@@ -13,7 +15,7 @@ from tocdetect.docmodel import (
 )
 from tocdetect.errors import MalformedXml, SchemaViolation
 
-from helpers import ENTITY_BOMB
+from helpers import ENTITY_BOMB, reference_parse_document
 
 MINIMAL = b'<document id="d"><page index="1"><line><token>Contents</token></line></page></document>'
 
@@ -210,3 +212,93 @@ def test_parsed_tokens_satisfy_invariants(doc):
             for token in ln.tokens:
                 assert token.text == token.text.strip() and token.text
                 assert token.font_size >= 0.0
+
+
+# -- parity with the ElementTree parser kept in tests/helpers.py -------------------
+
+_UNKNOWN_THEN = (b'<document id="d"><page index="1"><line><x a="1"><token>z</token></x>'
+                 b'<token color="red" xmlns:a="u" a:b="1">x</token></line></page>')
+
+
+def test_warnings_are_logged_only_for_well_formed_input(caplog):
+    caplog.set_level(logging.WARNING, logger="tocdetect.docmodel")
+    parse_document(_UNKNOWN_THEN + b"</document>")
+    assert [record.getMessage() for record in caplog.records] == [
+        "document/page[1]/line[1]: ignoring unknown element <x>",
+        "document/page[1]/line[1]/token[2]: ignoring unknown attribute 'color'",
+        "document/page[1]/line[1]/token[2]: ignoring unknown attribute '{u}b'",
+    ]
+    caplog.clear()
+    with pytest.raises(MalformedXml, match="not well-formed"):
+        parse_document(_UNKNOWN_THEN + b"</document>\x00")
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("root, close", [
+    (b'<document xmlns="urn:x" id="d">', b"</document>"),
+    (b'<a:document xmlns:a="urn:x" id="d">', b"</a:document>"),
+], ids=["default-namespace", "prefixed"])
+def test_namespaced_root_is_named_as_elementtree_names_it(root, close):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(root + b'<page index="1"><line/></page>' + close)
+    assert str(exc.value) == (
+        "{urn:x}document: root element is <{urn:x}document>, expected <document>")
+
+
+@pytest.mark.parametrize("prolog, column", [
+    (b'<!DOCTYPE document SYSTEM "x.dtd">', 80),  # expat skips the undeclared &foo;
+    (b'<!DOCTYPE document [<!ENTITY foo SYSTEM "e.xml">]>', 96),  # nothing loads e.xml
+], ids=["external-dtd", "external-entity"])
+def test_unexpanded_entity_is_malformed(prolog, column):
+    with pytest.raises(MalformedXml) as exc:
+        parse_document(prolog + _one_token("<token>&foo;bar</token>"))
+    assert str(exc.value) == f"undefined entity &foo;: line 1, column {column}"
+
+
+_SPLICES = [b'<x a="1"><token>z</token></x>', b'size="nan" ', b'bold="yes" ', b'xmlns="u" ',
+            b'xmlns:a="u" a:b="1" ', b"<![CDATA[x]]>", b"<!--c-->", codecs.BOM_UTF8, b"&foo;",
+            b'<!DOCTYPE document SYSTEM "x.dtd">',
+            b'<!DOCTYPE document [<!ENTITY foo "bar"><!ENTITY ext SYSTEM "e.xml">]>', b"&ext;",
+            b"&#0;", b"<", b"&", b'"', b"\x00", b"\xff"]
+
+
+@st.composite
+def _mutated_documents(draw):
+    data = write_document_xml(draw(_documents()))
+    if draw(st.booleans()):  # so that a spliced size= or bold= is not a duplicate attribute
+        data = re.sub(rb' (size|bold|italic)="[^"]*"', b"", data)
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        # any offset, or one after a '>' or after '<token ', where a splice can leave the
+        # input well-formed
+        spots = [[m.end() for m in re.finditer(pattern, data)] for pattern in (rb">", rb"<token ")]
+        at = draw(st.one_of(*(st.sampled_from(s) for s in spots if s), st.integers(0, len(data))))
+        op = draw(st.sampled_from(["splice", "replace", "delete"]))
+        if op == "delete":
+            del data[at:at + 1]
+        else:  # a replace swaps the byte at the offset for the fragment
+            data[at:at + 1 if op == "replace" else at] = draw(st.sampled_from(_SPLICES))
+    return bytes(data)
+
+
+def _outcome(parse, data):
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("tocdetect.docmodel")
+    logger.addHandler(handler)
+    try:
+        result = parse(data)
+    except (MalformedXml, SchemaViolation) as exc:
+        result = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, [record.getMessage() for record in records]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_mutated_documents(), _documents().map(write_document_xml)))
+@example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + MINIMAL)  # one BOM is stripped, expat reads the other
+@example(_one_token('<token bold="yes">x</token>') + b"\x00")  # the malformed byte wins
+def test_parse_matches_elementtree_reference(data):
+    assert _outcome(parse_document, data) == _outcome(reference_parse_document, data)
