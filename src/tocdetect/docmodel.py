@@ -18,6 +18,11 @@ logged only for well-formed input; other attributes on <document>, <page>
 and <line> are ignored silently. A <token> holds text only. Input is
 UTF-8 unless an XML declaration names another encoding; a leading UTF-8
 BOM is tolerated. Names read as in ElementTree: "{uri}local" if namespaced.
+
+Equal values are shared within a document: tokens with equal text hold one
+string, and tokens with the same attributes one font, size and link. Each
+distinct attribute set is checked once; every token still gets its own
+warnings and its empty-text check. The model holds no reference cycles.
 """
 
 from __future__ import annotations
@@ -46,13 +51,13 @@ class Token:
     link_target: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     tokens: tuple[Token, ...]
     index: int  # zero-based position within the page
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Page:
     index: int  # one-based page number
     lines: tuple[Line, ...]
@@ -87,6 +92,9 @@ def _expat_parse(xml_bytes: bytes, chardata, start=None, end=None) -> None:
         parser.Parse(xml_bytes, True)
     except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: bad encoding="..."
         raise MalformedXml(str(exc)) from exc
+    finally:  # parser and undefined_entity refer to each other: free the handlers' data now
+        parser.DefaultHandlerExpand = parser.CharacterDataHandler = None
+        parser.StartElementHandler = parser.EndElementHandler = None
 
 
 def parse_document(xml_bytes: bytes) -> DocumentModel:
@@ -94,6 +102,7 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
     if xml_bytes.startswith(codecs.BOM_UTF8):
         xml_bytes = xml_bytes[len(codecs.BOM_UTF8):]
     pages, lines, tokens, chunks, warnings = [], [], [], [], []
+    checked, texts = {}, {}  # token attributes -> their checked values; each text -> its first copy
     doc_id = token_attrs = None  # token_attrs: the open <token>'s; None in an unknown element
     depth = prev_index = child = 0  # child: 1-based among the open <line>'s elements
 
@@ -138,28 +147,35 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
         nonlocal depth, child
         depth -= 1
         if depth == 3 and token_attrs is not None:  # </token>
-            for attr in token_attrs:
-                if attr not in _TOKEN_ATTRS:
-                    warnings.append(("%s: ignoring unknown attribute %r", path(4), _et_name(attr)))
+            key = tuple(token_attrs.items())
+            known = checked.get(key)  # (unknown names, font, size, bold, italic, link)
+            unknown = known[0] if known else [_et_name(a) for a in token_attrs
+                                              if a not in _TOKEN_ATTRS]
+            for attr in unknown:
+                warnings.append(("%s: ignoring unknown attribute %r", path(4), attr))
             text = "".join(chunks).strip()
             if not text:
                 raise SchemaViolation("token has empty text", path(4))
-            raw_size = token_attrs.get("size", "0.0")
-            try:
-                size = parse_number(raw_size, float)
-            except ValueError:
-                raise SchemaViolation(f"size={raw_size!r} is not a decimal", path(4))
-            if not (math.isfinite(size) and size >= 0.0):
-                raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal",
-                                      path(4))
-            for attr in ("bold", "italic"):
-                raw = token_attrs.get(attr, "false")
-                if raw not in ("true", "false"):
-                    raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false", path(4))
-            font = token_attrs.get("font", "")  # blank counts as absent: no empty feature level
-            tokens.append(Token(text, font if font.strip() else "unknown", size,
-                                token_attrs.get("bold") == "true",
-                                token_attrs.get("italic") == "true", token_attrs.get("link")))
+            if known is None:
+                raw_size = token_attrs.get("size", "0.0")
+                try:
+                    size = parse_number(raw_size, float)
+                except ValueError:
+                    raise SchemaViolation(f"size={raw_size!r} is not a decimal", path(4))
+                if not (math.isfinite(size) and size >= 0.0):
+                    raise SchemaViolation(
+                        f"size={raw_size!r} is not a finite, non-negative decimal", path(4))
+                for attr in ("bold", "italic"):
+                    raw = token_attrs.get(attr, "false")
+                    if raw not in ("true", "false"):
+                        raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false",
+                                              path(4))
+                font = token_attrs.get("font", "")  # blank counts as absent: no empty feature level
+                known = checked[key] = (unknown, font if font.strip() else "unknown", size,
+                                        token_attrs.get("bold") == "true",
+                                        token_attrs.get("italic") == "true",
+                                        token_attrs.get("link"))
+            tokens.append(Token(texts.setdefault(text, text), *known[1:]))
         elif depth == 2:  # </line>
             lines.append(Line(tokens=tuple(tokens), index=len(lines)))
             tokens.clear()

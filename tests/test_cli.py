@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from tocdetect import tree
+from tocdetect import cli, tree
 from tocdetect.cli import load_feature_config, run
 from tocdetect.dataset import table1_csv_bytes
 from tocdetect.docmodel import write_document_xml
@@ -457,6 +458,35 @@ def test_cli_import_leaves_out_xml_escaping():
 def test_usage_error_exit_1(capsys):
     assert run(["train"]) == 1
     assert "error[usage]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["fixture", "--table1"], 0),
+    (["train"], 1),
+    (["predict", "MODEL", "missing.xml"], 2),
+    (["export", "missing.json"], 3),
+], ids=["ok", "usage", "data", "model"])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, model_file, capsys, monkeypatch,
+                                                 collecting, argv, code):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(model_file) if arg == "MODEL" else arg for arg in argv]
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_command_runs_without_the_collector(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "fixture", lambda args: seen.append(gc.isenabled()) or b"")
+    assert gc.isenabled()
+    assert run(["fixture", "--table1"]) == 0
+    assert seen == [False] and gc.isenabled()
 
 
 # -- feature config file -----------------------------------------------------------------

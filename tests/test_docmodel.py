@@ -1,4 +1,5 @@
 import codecs
+import gc
 import logging
 import re
 
@@ -164,6 +165,62 @@ def test_empty_lines_preserved():
 
 def test_parse_is_deterministic():
     assert parse_document(MINIMAL) == parse_document(MINIMAL)
+
+
+# -- values shared within a document, and checks of repeated token attributes ----------
+
+def _two_lines(first: str, second: str) -> bytes:
+    return (f'<document id="d"><page index="1"><line>{first}</line><line>{second}</line>'
+            f"</page></document>").encode()
+
+
+def test_repeated_unknown_attribute_warns_at_each_token(caplog):
+    caplog.set_level(logging.WARNING, logger="tocdetect.docmodel")
+    token = '<token color="red" size="9">x</token>'
+    parse_document(_two_lines(token, token + token))
+    assert [record.getMessage() for record in caplog.records] == [
+        "document/page[1]/line[1]/token[1]: ignoring unknown attribute 'color'",
+        "document/page[1]/line[2]/token[1]: ignoring unknown attribute 'color'",
+        "document/page[1]/line[2]/token[2]: ignoring unknown attribute 'color'",
+    ]
+
+
+def test_empty_text_is_rejected_after_its_attributes_were_seen():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(_two_lines('<token size="9">x</token>', '<token size="9"> </token>'))
+    assert str(exc.value) == "document/page[1]/line[2]/token[1]: token has empty text"
+
+
+def test_repeated_bad_size_is_rejected_at_its_first_token():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(_two_lines('<token>a</token><token size="-1">x</token>',
+                                  '<token size="-1">x</token>'))
+    assert str(exc.value) == (
+        "document/page[1]/line[1]/token[2]: size='-1' is not a finite, non-negative decimal")
+
+
+def test_equal_token_values_are_one_object():
+    token = '<token font="Serif" size="9.5" link="p2">{}</token>'
+    doc = parse_document(_two_lines(token.format("Contents") + token.format("Index"),
+                                    token.format("Contents")))
+    (a, b), (c,) = (line.tokens for line in doc.pages[0].lines)
+    assert a.text is c.text and a.text != b.text
+    assert a.font_family is b.font_family is c.font_family
+    assert a.font_size is b.font_size is c.font_size
+    assert a.link_target is b.link_target is c.link_target
+
+
+def test_parsed_document_holds_no_reference_cycles():
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        doc = parse_document(_two_lines('<token bold="true">x</token>', "<token>y</token>"))
+        del doc
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- randomized round-trip -------------------------------------------------
