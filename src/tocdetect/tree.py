@@ -5,6 +5,11 @@ Categorical and boolean columns split multiway by value; numeric columns
 split binary at midpoints between consecutive distinct values. Everything
 is deterministic: ties resolve by gain, then canonical column order, then
 smaller threshold; leaf-label ties resolve to TOC. No pruning.
+
+Every node is one Node: its counts and, for a split, its feature, threshold
+(None for a categorical split) and branches, key -> child. A leaf has no
+branches. A numeric split's keys are True (value <= threshold) and False; a
+categorical split's keys are its normalized values, in serialized value order.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from . import schema
 from .errors import (
@@ -30,46 +35,41 @@ from .schema import ClassLabel
 
 Counts = tuple[int, int]  # (n_TOC, n_NON_TOC)
 
-#: Deepest tree learn returns. Building, saving and loading each recurse about two frames
-#: per level, so this keeps them within half of Python's default recursion limit (1000).
+#: Deepest tree learn returns. Building, saving, loading and rendering each recurse one to
+#: two frames per level, so this keeps them within half of Python's default recursion limit
+#: (1000). Node equality is a loop, so it compares trees of any depth.
 MAX_TREE_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class _Node:
+@dataclass(frozen=True, eq=False)
+class Node:
     counts: Counts  # class counts of the training rows that reached this node
+    feature: Optional[str] = None
+    threshold: Optional[float] = None  # None for a leaf or a categorical split
+    branches: dict = field(default_factory=dict)  # key -> Node; empty for a leaf
 
     @property
     def label(self) -> ClassLabel:
         # tie -> TOC
         return ClassLabel.TOC if self.counts[0] >= self.counts[1] else ClassLabel.NON_TOC
 
-
-@dataclass(frozen=True)
-class Leaf(_Node):
-    pass
-
-
-@dataclass(frozen=True)
-class NumericNode(_Node):
-    feature: str
-    threshold: float
-    le: "TreeNode"  # value <= threshold
-    gt: "TreeNode"
-
-
-@dataclass(frozen=True)
-class CategoricalNode(_Node):
-    feature: str
-    branches: dict  # value -> TreeNode, insertion-ordered by serialized value
-
-
-TreeNode = Union[Leaf, NumericNode, CategoricalNode]
+    def __eq__(self, other):
+        # a loop: the generated __eq__ recurses through branches and overflows on deep trees
+        if not isinstance(other, Node):
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if ((a.counts, a.feature, a.threshold) != (b.counts, b.feature, b.threshold)
+                    or a.branches.keys() != b.branches.keys()):
+                return False
+            pending.extend((child, b.branches[key]) for key, child in a.branches.items())
+        return True
 
 
 @dataclass(frozen=True)
 class TrainedModel:
-    root: TreeNode
+    root: Node
     columns: tuple[str, ...]
     config_echo: FeatureConfig = field(default_factory=FeatureConfig)
 
@@ -100,11 +100,12 @@ def _count(rows) -> Counts:
 
 
 def _groups(rows, column, threshold):
-    """How a split divides rows: (value <= threshold, value > threshold), or for a
-    categorical split (threshold None) a dict value -> rows in serialized value order."""
+    """How a split divides rows, as its branch key -> rows: {True: value <= threshold,
+    False: value > threshold}, or for a categorical split (threshold None) value -> rows
+    in serialized value order."""
     if threshold is not None:
-        return ([r for r in rows if r[0][column] <= threshold],
-                [r for r in rows if r[0][column] > threshold])
+        return {True: [r for r in rows if r[0][column] <= threshold],
+                False: [r for r in rows if r[0][column] > threshold]}
     groups = {}
     for values, label in rows:
         groups.setdefault(values[column], []).append((values, label))
@@ -149,7 +150,7 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
     return best
 
 
-def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
+def _build(rows, available, depth, max_depth, min_rows) -> Node:
     if depth > MAX_TREE_DEPTH:
         raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
     counts = _count(rows)
@@ -158,20 +159,17 @@ def _build(rows, available, depth, max_depth, min_rows) -> TreeNode:
         or len(rows) < 2 * min_rows
         or (max_depth is not None and depth >= max_depth)
     ):
-        return Leaf(counts)
+        return Node(counts)
     cand = best_split(rows, available)
     if cand is None:
-        return Leaf(counts)
-    groups = _groups(rows, cand.feature, cand.threshold)
-    if cand.threshold is None:
-        remaining = [c for c in available if c != cand.feature]
-        branches = {
-            value: _build(group, remaining, depth + 1, max_depth, min_rows)
-            for value, group in groups.items()
-        }
-        return CategoricalNode(counts, cand.feature, branches)
-    le, gt = (_build(part, available, depth + 1, max_depth, min_rows) for part in groups)
-    return NumericNode(counts, cand.feature, cand.threshold, le, gt)
+        return Node(counts)
+    if cand.threshold is None:  # every row below a categorical split shares its value
+        available = [c for c in available if c != cand.feature]
+    branches = {
+        key: _build(group, available, depth + 1, max_depth, min_rows)
+        for key, group in _groups(rows, cand.feature, cand.threshold).items()
+    }
+    return Node(counts, cand.feature, cand.threshold, branches)
 
 
 def _counts_json(counts: Counts) -> dict:
@@ -216,31 +214,29 @@ def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:
     return _walk(model.root, values)
 
 
-def _walk(node: TreeNode, values: Mapping) -> tuple[ClassLabel, Counts]:
+def _walk(node: Node, values: Mapping) -> tuple[ClassLabel, Counts]:
     """classify() on values already checked: column -> value as check_value returns it."""
-    while not isinstance(node, Leaf):
+    while node.branches:
         value = values[node.feature]
-        if isinstance(node, NumericNode):
-            node = node.le if value <= node.threshold else node.gt
-        elif value in node.branches:
-            node = node.branches[value]
-        else:
+        key = value if node.threshold is None else value <= node.threshold
+        if key not in node.branches:
             break
+        node = node.branches[key]
     return node.label, node.counts
 
 
-def _render_text(node: TreeNode, indent: str, prefix: str, out: list):
-    if isinstance(node, Leaf):
+def _render_text(node: Node, indent: str, prefix: str, out: list):
+    if not node.branches:
         out.append(f"{indent}{prefix}→ {node.label} ({node.counts[0]}/{node.counts[1]})")
-    elif isinstance(node, NumericNode):
-        out.append(f"{indent}{prefix}{node.feature} <= {node.threshold!r}?")
-        _render_text(node.le, indent + "    ", "yes: ", out)
-        _render_text(node.gt, indent + "    ", "no: ", out)
-    else:
-        out.append(f"{indent}{prefix}{node.feature}?")
-        for value, child in node.branches.items():
-            tag = schema.format_value(node.feature, value)
-            _render_text(child, indent + "    ", f"= {tag}: ", out)
+        return
+    test = "" if node.threshold is None else f" <= {node.threshold!r}"
+    out.append(f"{indent}{prefix}{node.feature}{test}?")
+    for key, child in node.branches.items():
+        if node.threshold is None:
+            tag = f"= {schema.format_value(node.feature, key)}: "
+        else:
+            tag = "yes: " if key else "no: "
+        _render_text(child, indent + "    ", tag, out)
 
 
 def export_text(model: TrainedModel) -> str:
@@ -254,22 +250,19 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _render_dot(node: TreeNode, counter: list, out: list) -> str:
+def _render_dot(node: Node, counter: list, out: list) -> str:
     node_id = f"n{counter[0]}"
     counter[0] += 1
-    if isinstance(node, Leaf):
+    if not node.branches:
         label = f"{node.label} ({node.counts[0]}/{node.counts[1]})"
         out.append(f"  {node_id} [label={_dot_quote(label)}];")
         return node_id
     out.append(f"  {node_id} [label={_dot_quote(node.feature)}, shape=box];")
-    if isinstance(node, NumericNode):
-        edges = [(f"<= {node.threshold!r}", node.le), (f"> {node.threshold!r}", node.gt)]
-    else:
-        edges = [
-            (f"= {schema.format_value(node.feature, value)}", child)
-            for value, child in node.branches.items()
-        ]
-    for condition, child in edges:
+    for key, child in node.branches.items():
+        if node.threshold is None:
+            condition = f"= {schema.format_value(node.feature, key)}"
+        else:
+            condition = f"{'<=' if key else '>'} {node.threshold!r}"
         child_id = _render_dot(child, counter, out)
         out.append(f"  {node_id} -> {child_id} [label={_dot_quote(condition)}];")
     return node_id
@@ -286,16 +279,16 @@ def export_dot(model: TrainedModel) -> str:
 MODEL_FORMAT_VERSION = 1
 
 
-def _node_to_json(node: TreeNode):
-    if isinstance(node, Leaf):
+def _node_to_json(node: Node):
+    if not node.branches:
         return {"leaf": {"label": str(node.label), "counts": _counts_json(node.counts)}}
-    if isinstance(node, NumericNode):
+    if node.threshold is not None:
         return {
             "num": {
                 "feature": node.feature,
                 "threshold": node.threshold,
-                "le": _node_to_json(node.le),
-                "gt": _node_to_json(node.gt),
+                "le": _node_to_json(node.branches[True]),
+                "gt": _node_to_json(node.branches[False]),
                 "majority": str(node.label),
             }
         }
@@ -303,8 +296,8 @@ def _node_to_json(node: TreeNode):
         "cat": {
             "feature": node.feature,
             "branches": {
-                schema.format_value(node.feature, value): _node_to_json(child)
-                for value, child in node.branches.items()
+                schema.format_value(node.feature, key): _node_to_json(child)
+                for key, child in node.branches.items()
             },
             "majority": str(node.label),
         }
@@ -332,17 +325,13 @@ def save_model(model: TrainedModel) -> bytes:
     return (json.dumps(_model_doc(model), indent=2) + "\n").encode("utf-8")
 
 
-def _summed(children) -> Counts:
-    return (sum(c.counts[0] for c in children), sum(c.counts[1] for c in children))
-
-
-def _node_from_json(obj, columns) -> TreeNode:
+def _node_from_json(obj, columns) -> Node:
     (tag, body), = obj.items()
     if tag == "leaf":
         counts = (body["counts"]["TOC"], body["counts"]["NON-TOC"])
         if not all(type(c) is int and c >= 0 for c in counts):
             raise CorruptModel(f"leaf counts {counts!r} are not non-negative integers")
-        return Leaf(counts)
+        return Node(counts)
     feature = body["feature"]
     if feature not in columns:
         raise CorruptModel(f"node on feature {feature!r} outside the model columns")
@@ -353,17 +342,20 @@ def _node_from_json(obj, columns) -> TreeNode:
         threshold = float(body["threshold"])  # a non-float value fails load_model's final check
         if not math.isfinite(threshold):
             raise CorruptModel(f"threshold {threshold!r} is not a finite number")
-        le = _node_from_json(body["le"], columns)
-        gt = _node_from_json(body["gt"], columns)
-        return NumericNode(_summed((le, gt)), feature, threshold, le, gt)
-    branches = {
-        schema.check_value(feature, schema.parse_value(feature, key)):
-            _node_from_json(child, columns)
-        for key, child in body["branches"].items()
-    }
-    if not branches:
-        raise CorruptModel(f"categorical node on {feature!r} has no branches")
-    return CategoricalNode(_summed(branches.values()), feature, branches)
+        branches = {True: _node_from_json(body["le"], columns),
+                    False: _node_from_json(body["gt"], columns)}
+    else:
+        threshold = None
+        branches = {
+            schema.check_value(feature, schema.parse_value(feature, key)):
+                _node_from_json(child, columns)
+            for key, child in body["branches"].items()
+        }
+        if not branches:
+            raise CorruptModel(f"categorical node on {feature!r} has no branches")
+    children = branches.values()
+    counts = (sum(c.counts[0] for c in children), sum(c.counts[1] for c in children))
+    return Node(counts, feature, threshold, branches)
 
 
 def load_model(data: bytes) -> TrainedModel:

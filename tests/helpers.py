@@ -140,22 +140,30 @@ def brute_force_title_line(page, cfg):
 def route_json_tree(node, vector):
     """Independent walker over a saved model's JSON root node.
 
-    Returns the predicted label string, honoring the majority fallback for
-    unseen categorical values.
+    Returns (label string, (n_TOC, n_NON_TOC)). A categorical value that no branch
+    names, once normalized, ends the walk at that node: its majority label and the
+    counts summed over its leaves.
     """
-    from tocdetect.schema import parse_value
-
     (tag, body), = node.items()
     if tag == "leaf":
-        return body["label"]
+        return body["label"], _json_leaf_counts(node)
     if tag == "num":
         branch = body["le"] if vector[body["feature"]] <= body["threshold"] else body["gt"]
         return route_json_tree(branch, vector)
     assert tag == "cat"
-    for key, child in body["branches"].items():
-        if parse_value(body["feature"], key) == vector[body["feature"]]:
-            return route_json_tree(child, vector)
-    return body["majority"]
+    child = body["branches"].get(format_value(body["feature"], vector[body["feature"]]))
+    if child is not None:
+        return route_json_tree(child, vector)
+    return body["majority"], _json_leaf_counts(node)
+
+
+def _json_leaf_counts(node):
+    (tag, body), = node.items()
+    if tag == "leaf":
+        return body["counts"]["TOC"], body["counts"]["NON-TOC"]
+    children = (body["le"], body["gt"]) if tag == "num" else body["branches"].values()
+    summed = [_json_leaf_counts(child) for child in children]
+    return sum(toc for toc, _ in summed), sum(non for _, non in summed)
 
 
 def _parse_bool(raw: str, path: str, attr: str) -> bool:

@@ -217,6 +217,29 @@ def test_train_is_deterministic(tmp_path, fixture_csv):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str and bool branch keys hash differently under each seed; no output may follow that
+    csv = ("contains_title_term,title_term_font_class,label\n"
+           "YES,Arial,TOC\nNO,Arial,NON-TOC\nYES,Arial,TOC\nNO,Times New Roman,TOC\n"
+           "YES,Times New Roman,TOC\nNO,Courier,NON-TOC\nYES,Courier,NON-TOC\nNO,Helvetica,NON-TOC\n")
+    commands = [["train", "fonts.csv", "--out", "m.json"], ["export", "m.json", "--out", "m.txt"],
+                ["export", "m.json", "--format", "dot", "--out", "m.dot"]]
+    script = f"import sys; from tocdetect.cli import run; sys.exit(max(map(run, {commands!r})))"
+    src = os.path.dirname(os.path.dirname(tree.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        (workdir / "fonts.csv").write_text(csv)
+        subprocess.run([sys.executable, "-c", script], cwd=workdir, check=True,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        outputs.append([(workdir / name).read_bytes() for name in ("m.json", "m.txt", "m.dot")])
+    assert outputs[0] == outputs[1]
+    text = outputs[0][1].decode()
+    assert text.startswith("title_term_font_class?\n")
+    assert "    = ARIAL: contains_title_term?\n" in text and text.count("\n    = ") == 4
+
+
 @pytest.mark.parametrize("text", [
     "contains_title_term,label\nmaybe,TOC\n",
     f"contextual_term_count,label\n{'9' * 400},TOC\n0,NON-TOC\n",
@@ -260,17 +283,24 @@ def test_tree_deeper_than_limit_exit_2(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_tree_at_depth_limit_saves_and_loads(tmp_path):
-    node = tree.Leaf((1, 0))
+def test_tree_at_depth_limit_saves_and_loads(tmp_path, capsys):
+    node = tree.Node((1, 0))
     for i in range(tree.MAX_TREE_DEPTH):
-        gt = tree.Leaf((i % 2, 1 - i % 2))
+        gt = tree.Node((i % 2, 1 - i % 2))
         counts = (node.counts[0] + gt.counts[0], node.counts[1] + gt.counts[1])
-        node = tree.NumericNode(counts, "contextual_term_count", i + 0.5, node, gt)
+        node = tree.Node(counts, "contextual_term_count", i + 0.5, {True: node, False: gt})
     model = tree.TrainedModel(root=node, columns=("contextual_term_count",))
     path = tmp_path / "chain.json"
     path.write_bytes(tree.save_model(model))
     assert tree.load_model(path.read_bytes()) == model
     assert run(["export", str(path)]) == 0
+    assert run(["export", str(path), "--format", "dot"]) == 0
+    # a count of 0 takes every <= branch, down to the deepest leaf (TOC)
+    row = tmp_path / "row.csv"
+    row.write_text("contextual_term_count,label\n0,TOC\n")
+    capsys.readouterr()
+    assert run(["eval", str(path), str(row), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
 
 
 # -- predict -----------------------------------------------------------------------

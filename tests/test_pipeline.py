@@ -17,7 +17,7 @@ from tocdetect.pipeline import (
     scan_count,
 )
 from tocdetect.schema import ClassLabel
-from tocdetect.tree import Leaf, TrainedModel, classify, learn
+from tocdetect.tree import Node, TrainedModel, classify, learn
 
 from helpers import canonical_toc_page, doc, page
 
@@ -26,7 +26,7 @@ TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 
 def constant_model(label):
     counts = (1, 0) if label is TOC else (0, 1)
-    return TrainedModel(root=Leaf(counts), columns=())
+    return TrainedModel(root=Node(counts), columns=())
 
 
 def plain_doc(n_pages, doc_id="doc"):

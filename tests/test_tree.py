@@ -16,9 +16,7 @@ from tocdetect.errors import (
 )
 from tocdetect.schema import ClassLabel
 from tocdetect.tree import (
-    CategoricalNode,
-    Leaf,
-    NumericNode,
+    Node,
     TrainedModel,
     best_split,
     classify,
@@ -30,7 +28,7 @@ from tocdetect.tree import (
     save_model,
 )
 
-from helpers import brute_force_best_split
+from helpers import brute_force_best_split, route_json_tree
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 
@@ -109,7 +107,7 @@ def test_best_split_tie_breaks_by_canonical_order():
 def test_learn_single_row_is_leaf():
     data = make_dataset(["contains_title_term"], [(True, TOC)])
     model = learn(data)
-    assert model.root == Leaf((1, 0))
+    assert model.root == Node((1, 0))
     assert classify(model, {"contains_title_term": False}) == (TOC, (1, 0))
 
 
@@ -123,7 +121,7 @@ def test_learn_empty_dataset_raises():
 def test_learn_contradictory_duplicates_tie_to_toc():
     data = make_dataset(["contains_title_term"], [(True, TOC), (True, NON)])
     model = learn(data)
-    assert model.root == Leaf((1, 1))
+    assert model.root == Node((1, 1))
     assert model.root.label is TOC
 
 
@@ -150,7 +148,7 @@ def test_unseen_categorical_value_falls_back_to_majority():
     )
     learned = learn(data)
     for model in (learned, load_model(save_model(learned))):
-        assert isinstance(model.root, CategoricalNode)
+        assert model.root.branches and model.root.threshold is None  # a categorical split
         label, counts = classify(model, {"title_term_style": "INTERMEDIATE"})
         assert label is TOC  # root majority
         assert counts == (2, 1)
@@ -186,23 +184,10 @@ def test_categorical_column_dropped_below_its_split():
     )
     model = learn(data)
 
-    def features_used(node):
-        if isinstance(node, Leaf):
-            return set()
-        used = {node.feature}
-        children = (node.le, node.gt) if isinstance(node, NumericNode) else node.branches.values()
-        for child in children:
-            used |= features_used(child)
-        return used
-
     def no_repeat_categorical(node, seen):
-        if isinstance(node, Leaf):
-            return True
-        if isinstance(node, CategoricalNode):
-            if node.feature in seen:
-                return False
-            return all(no_repeat_categorical(c, seen | {node.feature}) for c in node.branches.values())
-        return all(no_repeat_categorical(c, seen) for c in (node.le, node.gt))
+        below = seen | {node.feature} if node.threshold is None else seen
+        return node.feature not in seen and all(no_repeat_categorical(c, below)
+                                                for c in node.branches.values())
 
     assert no_repeat_categorical(model.root, set())
     for values, label in data.rows:
@@ -210,10 +195,7 @@ def test_categorical_column_dropped_below_its_split():
 
 
 def _depth(node):
-    if isinstance(node, Leaf):
-        return 0
-    children = (node.le, node.gt) if isinstance(node, NumericNode) else node.branches.values()
-    return 1 + max(_depth(c) for c in children)
+    return max((1 + _depth(c) for c in node.branches.values()), default=0)
 
 
 def test_max_depth_limits_tree():
@@ -246,9 +228,7 @@ def test_min_rows_prevents_splitting_small_nodes():
         [(0.1, TOC), (0.9, NON), (0.2, TOC)],
     )
     model = learn(data, min_rows=2)
-    assert isinstance(model.root, Leaf) or all(
-        isinstance(c, Leaf) for c in (model.root.le, model.root.gt)
-    )
+    assert all(not c.branches for c in model.root.branches.values())  # root or its children leaves
 
 
 def test_xor_pattern_yields_majority_leaf():
@@ -258,7 +238,7 @@ def test_xor_pattern_yields_majority_leaf():
         [(False, False, TOC), (False, True, NON), (True, False, NON), (True, True, TOC)],
     )
     model = learn(data)
-    assert model.root == Leaf((2, 2))
+    assert model.root == Node((2, 2))
 
 
 # -- exports -------------------------------------------------------------------
@@ -286,9 +266,9 @@ def test_export_dot_is_valid_digraph():
 
 
 def test_exports_render_categorical_branches():
-    links = NumericNode((1, 1), "outgoing_link_frequency", 0.5, Leaf((1, 0)), Leaf((0, 1)))
-    root = CategoricalNode((3, 1), "title_term_style",
-                           {"LARGEST": Leaf((2, 0)), "MOST_FREQUENT": links})
+    links = Node((1, 1), "outgoing_link_frequency", 0.5, {True: Node((1, 0)), False: Node((0, 1))})
+    root = Node((3, 1), "title_term_style", None,
+                {"LARGEST": Node((2, 0)), "MOST_FREQUENT": links})
     model = TrainedModel(root=root, columns=("title_term_style", "outgoing_link_frequency"))
     assert export_text(model) == (
         "title_term_style?\n"
@@ -384,6 +364,41 @@ def test_model_json_structure():
     assert tag in ("leaf", "num", "cat")
 
 
+# -- node equality ------------------------------------------------------------------
+
+def _chain(depth, deepest):
+    """A numeric chain, depth splits deep, whose innermost <= branch is Node(deepest)."""
+    node = Node(deepest)
+    for i in range(depth):
+        node = Node((1, 1), "contextual_term_count", i + 0.5, {True: node, False: Node((0, 1))})
+    return node
+
+
+def _styles(order):
+    leaves = {"LARGEST": Node((2, 0)), "NA": Node((0, 1))}
+    return Node((2, 1), "title_term_style", None, {key: leaves[key] for key in order})
+
+
+def _yes_no(threshold):
+    return Node((1, 1), "contains_title_term", threshold, {True: Node((1, 0)), False: Node((0, 1))})
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    (lambda: _chain(3, (1, 0)), lambda: _chain(3, (1, 0)), True),
+    (lambda: _styles(["LARGEST", "NA"]), lambda: _styles(["NA", "LARGEST"]), True),
+    (lambda: _yes_no(0.5), lambda: _yes_no(None), False),
+    (lambda: _chain(2 * tree.MAX_TREE_DEPTH, (1, 0)),
+     lambda: _chain(2 * tree.MAX_TREE_DEPTH, (1, 0)), True),
+    (lambda: _chain(2 * tree.MAX_TREE_DEPTH, (1, 0)),
+     lambda: _chain(2 * tree.MAX_TREE_DEPTH, (0, 1)), False),
+], ids=["built-separately", "branch-order-ignored", "numeric-vs-boolean-categorical",
+        "deep-equal", "deep-differ-at-deepest-leaf"])
+def test_node_equality(left, right, equal):
+    a, b = left(), right()
+    assert (a == b) is equal and (b == a) is equal
+    assert (a != b) is not equal
+
+
 # -- properties -------------------------------------------------------------------
 
 @given(st.permutations(range(10)))
@@ -437,6 +452,40 @@ def test_best_split_matches_brute_force(cols_rows):
         assert cand.feature == oracle[0]
         assert cand.threshold == oracle[1]
         assert cand.gain == pytest.approx(oracle[2], abs=1e-9)
+
+
+_FONTS = ["Times New Roman", "times-new roman", "Arial", "Courier"]
+_TRAINING_VALUES = {**_COLUMN_VALUES, "title_term_font_class": st.sampled_from(_FONTS)}
+# raw spellings check_value normalizes, and levels that no training row may hold
+_ROUTED_VALUES = {
+    **_TRAINING_VALUES,
+    "title_term_style": st.sampled_from(["LARGEST", "intermediate", "most-frequent", "NA"]),
+    "title_term_font_class": st.sampled_from(_FONTS + ["Helvetica", "ARIAL "]),
+}
+
+
+@st.composite
+def _learned_model(draw):
+    columns = draw(st.lists(st.sampled_from(sorted(_TRAINING_VALUES)), min_size=1, unique=True))
+    rows = draw(st.lists(st.tuples(st.tuples(*(_TRAINING_VALUES[c] for c in columns)),
+                                   st.sampled_from([TOC, NON])), min_size=1, max_size=30))
+    return learn(Dataset(columns=tuple(columns), rows=tuple(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_learned_model(), st.data())
+def test_learned_tree_round_trips_and_routes_as_its_json(model, data):
+    saved = save_model(model)
+    loaded = load_model(saved)
+    assert loaded == model
+    assert save_model(loaded) == saved
+    # equality ignores branch order, and the renderers follow it
+    assert (export_text(loaded), export_dot(loaded)) == (export_text(model), export_dot(model))
+    root = json.loads(saved)["root"]
+    for _ in range(5):
+        vector = {c: data.draw(_ROUTED_VALUES[c]) for c in model.columns}
+        label, counts = classify(model, vector)
+        assert route_json_tree(root, vector) == (str(label), counts)
 
 
 @st.composite
