@@ -8,7 +8,6 @@ rename); all outputs are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -196,9 +195,17 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _read_document(path: str) -> docmodel.DocumentModel:
+    try:
+        with open(path, "rb") as fh:
+            return docmodel.parse_document(fh)  # expat reads the file as it parses
+    except OSError as exc:  # a read error names the user's path, as an open error does
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def _cmd_extract(args) -> bytes:
     cfg = load_feature_config(args.config)
-    doc = docmodel.parse_document(_read_bytes(args.document))
+    doc = _read_document(args.document)
     labels = _load_labels(args.labels, {page.index for page in doc.pages}) if args.labels else None
     rows = []
     for page in doc.pages:
@@ -219,7 +226,7 @@ def _cmd_predict(args) -> bytes:
     if not 0 < args.prefix <= 1:
         raise UsageError(f"--prefix must be in (0, 1], got {args.prefix}")
     model = _read_model(args.model)
-    doc = docmodel.parse_document(_read_bytes(args.document))
+    doc = _read_document(args.document)
     result = pipeline.detect(doc, model, prefix_fraction=args.prefix)
     if args.format == "json":
         return (json.dumps(result.to_json_dict(), indent=2) + "\n").encode("utf-8")
@@ -268,8 +275,6 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    collecting = gc.isenabled()  # restored below: tests call run() in-process
-    gc.disable()  # a command's data holds no cycles, and collector passes cost a parse ~15%
     try:
         args = parser.parse_args(argv)
         payload = _COMMANDS[args.command](args)
@@ -284,9 +289,6 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"tocdetect: error[io]: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def entrypoint():

@@ -19,15 +19,20 @@ and <line> are ignored silently. A <token> holds text only. Input is
 UTF-8 unless an XML declaration names another encoding; a leading UTF-8
 BOM is tolerated. Names read as in ElementTree: "{uri}local" if namespaced.
 
-Equal values are shared within a document: tokens with equal text hold one
-string, and tokens with the same attributes one font, size and link. Each
-distinct attribute set is checked once; every token still gets its own
+The input is bytes or a binary file. Expat reads a file as it parses, once
+and to its end, so the whole input is never held and a pipe will do.
+
+Equal tokens are shared within a document: tokens with equal text and the
+same attributes, as written, are one Token object, so treat every Token as
+read-only. Tokens with the same attributes hold one font, size and link.
+Each distinct attribute set is checked once; every token still gets its own
 warnings and its empty-text check. The model holds no reference cycles.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -38,11 +43,15 @@ from .schema import parse_number
 
 log = logging.getLogger(__name__)
 _TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
+_BLOCK = 1 << 16
 
 
 @dataclass(slots=True)
 class Token:
-    """One token; parse_document guarantees trimmed, non-empty text and a finite size >= 0."""
+    """One token; parse_document guarantees trimmed, non-empty text and a finite size >= 0.
+
+    parse_document gives equal tokens of a document one shared object: do not mutate one.
+    """
     text: str
     font_family: str = "unknown"
     font_size: float = 0.0  # points; 0.0 means unknown
@@ -74,74 +83,82 @@ def _et_name(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _expat_parse(xml_bytes: bytes, chardata, start=None, end=None) -> None:
-    """Run expat set up as ElementTree.fromstring sets it up, so both reject the same input."""
-    parser = expat.ParserCreate(namespace_separator="}")
-
-    def undefined_entity(data):  # how ElementTree hears of a reference expat could not expand
-        if data.startswith("&") and len(data) >= 2:
-            name = data.encode()[:100].decode(errors="replace")  # ElementTree's 100-byte cut
-            raise MalformedXml(f"undefined entity {name}: line {parser.CurrentLineNumber}, "
-                               f"column {parser.CurrentColumnNumber}")
-
-    parser.DefaultHandlerExpand = undefined_entity
-    parser.CharacterDataHandler = chardata
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
+def _check_token_attrs(attrs: dict, where: str) -> tuple:
+    """(font, size, bold, italic, link) from a <token>'s attributes; raises SchemaViolation."""
+    raw_size = attrs.get("size", "0.0")
     try:
-        parser.Parse(xml_bytes, True)
-    except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: bad encoding="..."
-        raise MalformedXml(str(exc)) from exc
-    finally:  # parser and undefined_entity refer to each other: free the handlers' data now
-        parser.DefaultHandlerExpand = parser.CharacterDataHandler = None
-        parser.StartElementHandler = parser.EndElementHandler = None
+        size = parse_number(raw_size, float)
+    except ValueError:
+        raise SchemaViolation(f"size={raw_size!r} is not a decimal", where)
+    if not (math.isfinite(size) and size >= 0.0):
+        raise SchemaViolation(f"size={raw_size!r} is not a finite, non-negative decimal", where)
+    for attr in ("bold", "italic"):
+        raw = attrs.get(attr, "false")
+        if raw not in ("true", "false"):
+            raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false", where)
+    font = attrs.get("font", "")  # blank counts as absent: no empty feature level
+    return (font if font.strip() else "unknown", size, attrs.get("bold") == "true",
+            attrs.get("italic") == "true", attrs.get("link"))
 
 
-def parse_document(xml_bytes: bytes) -> DocumentModel:
-    """Parse and validate document XML; raises MalformedXml / SchemaViolation."""
-    if xml_bytes.startswith(codecs.BOM_UTF8):
-        xml_bytes = xml_bytes[len(codecs.BOM_UTF8):]
+def parse_document(source) -> DocumentModel:
+    """Parse and validate document XML from bytes or a binary file; raises MalformedXml /
+    SchemaViolation. A file is read once, to its end, and never rewound, so a pipe will do."""
+    fh = source if hasattr(source, "read") else io.BytesIO(source)
+    head = b""
+    while len(head) < 3 and (more := fh.read(3 - len(head))):  # a pipe may return fewer
+        head += more
     pages, lines, tokens, chunks, warnings = [], [], [], [], []
-    checked, texts = {}, {}  # token attributes -> their checked values; each text -> its first copy
-    doc_id = token_attrs = None  # token_attrs: the open <token>'s; None in an unknown element
+    checked, shared = {}, {}  # token attributes -> their checked values; (text, attrs) -> Token
+    doc_id = token_attrs = violation = None  # token_attrs: the open <token>'s, None elsewhere
     depth = prev_index = child = 0  # child: 1-based among the open <line>'s elements
+    parser = expat.ParserCreate(namespace_separator="}")  # set up as ElementTree.fromstring sets it
 
     def path(level):  # of the open page (2), line (3) or token (4)
         steps = "document", f"page[{len(pages) + 1}]", f"line[{len(lines) + 1}]", f"token[{child}]"
         return "/".join(steps[:level])
 
+    def stop_checking(exc):  # ElementTree parsed all input before any check: a malformed byte wins
+        nonlocal violation
+        violation = exc
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = lambda data: None  # text must not reach undefined_entity
+
     def start(name, attrs):
         nonlocal depth, doc_id, prev_index, child, token_attrs
         depth += 1
-        if depth == 4:  # a child of <line>
-            child += 1
-            token_attrs = attrs if name == "token" else None
-            if token_attrs is None:
-                warnings.append(("%s: ignoring unknown element <%s>", path(3), _et_name(name)))
-            chunks.clear()
-        elif depth == 5 and token_attrs is not None:
-            raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(4))
-        elif depth == 1:
-            name = _et_name(name)
-            if name != "document":
-                raise SchemaViolation(f"root element is <{name}>, expected <document>", name)
-            doc_id = attrs.get("id")
-            if doc_id is None:
-                raise SchemaViolation("missing id attribute", "document")
-        elif depth < 4 and name != ("page" if depth == 2 else "line"):
-            raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(depth))
-        elif depth == 2:
-            raw_index = attrs.get("index")
-            if raw_index is None:
-                raise SchemaViolation("missing index attribute", path(2))
-            try:
-                index = parse_number(raw_index)
-            except ValueError:
-                raise SchemaViolation(f"index={raw_index!r} is not an integer", path(2))
-            if index <= prev_index:
-                raise SchemaViolation(f"page index {index} not strictly greater than {prev_index}",
-                                      path(2))
-            prev_index = index
+        try:
+            if depth == 4:  # a child of <line>
+                child += 1
+                token_attrs = attrs if name == "token" else None
+                if token_attrs is None:
+                    warnings.append(("%s: ignoring unknown element <%s>", path(3), _et_name(name)))
+                chunks.clear()
+            elif depth == 5 and token_attrs is not None:
+                raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(4))
+            elif depth == 1:
+                name = _et_name(name)
+                if name != "document":
+                    raise SchemaViolation(f"root element is <{name}>, expected <document>", name)
+                doc_id = attrs.get("id")
+                if doc_id is None:
+                    raise SchemaViolation("missing id attribute", "document")
+            elif depth < 4 and name != ("page" if depth == 2 else "line"):
+                raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(depth))
+            elif depth == 2:
+                raw_index = attrs.get("index")
+                if raw_index is None:
+                    raise SchemaViolation("missing index attribute", path(2))
+                try:
+                    index = parse_number(raw_index)
+                except ValueError:
+                    raise SchemaViolation(f"index={raw_index!r} is not an integer", path(2))
+                if index <= prev_index:
+                    raise SchemaViolation(
+                        f"page index {index} not strictly greater than {prev_index}", path(2))
+                prev_index = index
+        except SchemaViolation as exc:
+            stop_checking(exc)
 
     def end(name):
         nonlocal depth, child
@@ -154,28 +171,18 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
             for attr in unknown:
                 warnings.append(("%s: ignoring unknown attribute %r", path(4), attr))
             text = "".join(chunks).strip()
-            if not text:
-                raise SchemaViolation("token has empty text", path(4))
-            if known is None:
-                raw_size = token_attrs.get("size", "0.0")
-                try:
-                    size = parse_number(raw_size, float)
-                except ValueError:
-                    raise SchemaViolation(f"size={raw_size!r} is not a decimal", path(4))
-                if not (math.isfinite(size) and size >= 0.0):
-                    raise SchemaViolation(
-                        f"size={raw_size!r} is not a finite, non-negative decimal", path(4))
-                for attr in ("bold", "italic"):
-                    raw = token_attrs.get(attr, "false")
-                    if raw not in ("true", "false"):
-                        raise SchemaViolation(f"attribute {attr}={raw!r} is not true/false",
-                                              path(4))
-                font = token_attrs.get("font", "")  # blank counts as absent: no empty feature level
-                known = checked[key] = (unknown, font if font.strip() else "unknown", size,
-                                        token_attrs.get("bold") == "true",
-                                        token_attrs.get("italic") == "true",
-                                        token_attrs.get("link"))
-            tokens.append(Token(texts.setdefault(text, text), *known[1:]))
+            try:
+                if not text:
+                    raise SchemaViolation("token has empty text", path(4))
+                if known is None:
+                    known = checked[key] = (unknown, *_check_token_attrs(token_attrs, path(4)))
+            except SchemaViolation as exc:
+                stop_checking(exc)
+                return
+            token = shared.get((text, key))
+            if token is None:
+                token = shared[text, key] = Token(text, *known[1:])
+            tokens.append(token)
         elif depth == 2:  # </line>
             lines.append(Line(tokens=tuple(tokens), index=len(lines)))
             tokens.clear()
@@ -184,12 +191,35 @@ def parse_document(xml_bytes: bytes) -> DocumentModel:
             pages.append(Page(index=prev_index, lines=tuple(lines)))
             lines.clear()
 
-    violation = None
+    def undefined_entity(data):  # how ElementTree hears of a reference expat could not expand
+        if data.startswith("&") and len(data) >= 2:
+            name = data.encode()[:100].decode(errors="replace")  # ElementTree's 100-byte cut
+            raise MalformedXml(f"undefined entity {name}: line {parser.CurrentLineNumber}, "
+                               f"column {parser.CurrentColumnNumber}")
+
+    parser.DefaultHandlerExpand = undefined_entity
+    parser.CharacterDataHandler = chunks.append  # text may come in several chunks
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    # Expat gets the input up to a '>' in the last block read before more input, and the rest
+    # at the end: a name cut short after the root element would read as junk there, where the
+    # whole input gives another error. Only the last held block can hold a '>'.
+    held = [b"" if head == codecs.BOM_UTF8 else head]
     try:
-        _expat_parse(xml_bytes, chunks.append, start, end)  # text may come in several chunks
-    except SchemaViolation as exc:
-        violation = exc  # ElementTree parsed all input before any check: a malformed byte wins
-        _expat_parse(xml_bytes, lambda data: None)
+        while block := fh.read(_BLOCK):
+            last = held[-1]
+            cut = last.rfind(b">") + 1
+            if cut:
+                held[-1] = last[:cut]
+                parser.Parse(b"".join(held), False)
+                held = [last[cut:]]
+            held.append(block)
+        parser.Parse(b"".join(held), True)
+    except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: bad encoding="..."
+        raise MalformedXml(str(exc)) from exc
+    finally:  # the parser and its handlers refer to each other: free the handlers now
+        parser.DefaultHandlerExpand = parser.CharacterDataHandler = None
+        parser.StartElementHandler = parser.EndElementHandler = None
     for warning in warnings:  # held until the whole input is known to be well-formed
         log.warning(*warning)
     if violation is not None:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -341,6 +342,42 @@ def test_predict_entity_bomb_exit_2(tmp_path, model_file, capsys):
     assert "error[malformed-xml]" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("data", [
+    write_document_xml(synthetic_book()),
+    MINIMAL_XML.replace(b"<token>", b'<token bold="yes">') + b"\x00",
+], ids=["book", "violation-then-malformed-byte"])
+@pytest.mark.parametrize("command", ["predict", "extract"])
+def test_piped_document_reads_as_the_file_does(tmp_path, model_file, command, data):
+    # the document is read once and never rewound: the malformed byte after the schema
+    # violation still wins, with no second pass over the input
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(data)
+    argv = [sys.executable, "-m", "tocdetect.cli", command]
+    argv += [str(model_file)] if command == "predict" else []
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tree.__file__))}
+    piped = subprocess.run(argv + ["/dev/stdin"], input=data, capture_output=True, env=env)
+    from_file = subprocess.run(argv + [str(xml)], capture_output=True, env=env)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        from_file.returncode, from_file.stdout, from_file.stderr)
+    if data.endswith(b"\x00"):
+        assert piped.returncode == 2 and piped.stderr.startswith(
+            b"tocdetect: error[malformed-xml]: not well-formed (invalid token)")
+    else:
+        assert piped.returncode == 0 and piped.stdout
+
+
+@pytest.mark.parametrize("command", ["predict", "extract"])
+def test_document_read_error_names_the_path(tmp_path, model_file, capsys, monkeypatch, command):
+    def fail(fh):
+        raise OSError(errno.EIO, "Input/output error")
+    monkeypatch.setattr(cli.docmodel, "parse_document", fail)
+    xml = tmp_path / "doc.xml"
+    xml.write_bytes(MINIMAL_XML)
+    argv = [command, *([str(model_file)] if command == "predict" else []), str(xml)]
+    assert run(argv) == 2
+    assert _error_line(capsys) == f"tocdetect: error[io]: [Errno 5] Input/output error: {str(xml)!r}\n"
+
+
 def test_predict_missing_model_exit_3(tmp_path, capsys):
     xml = tmp_path / "book.xml"
     xml.write_bytes(MINIMAL_XML)
@@ -509,14 +546,6 @@ def test_run_leaves_the_collector_as_it_found_it(tmp_path, model_file, capsys, m
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_command_runs_without_the_collector(monkeypatch, capsys):
-    seen = []
-    monkeypatch.setitem(cli._COMMANDS, "fixture", lambda args: seen.append(gc.isenabled()) or b"")
-    assert gc.isenabled()
-    assert run(["fixture", "--table1"]) == 0
-    assert seen == [False] and gc.isenabled()
 
 
 # -- feature config file -----------------------------------------------------------------

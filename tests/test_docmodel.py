@@ -1,5 +1,6 @@
 import codecs
 import gc
+import itertools
 import logging
 import re
 
@@ -199,15 +200,31 @@ def test_repeated_bad_size_is_rejected_at_its_first_token():
         "document/page[1]/line[1]/token[2]: size='-1' is not a finite, non-negative decimal")
 
 
+def test_text_after_a_violation_is_not_read_as_an_entity():
+    # the pass runs on to the end after a violation, and an entity there is not undefined
+    with pytest.raises(SchemaViolation) as exc:
+        parse_document(_two_lines('<token bold="yes">x</token>', "<token>a &amp; b</token>"))
+    assert str(exc.value) == (
+        "document/page[1]/line[1]/token[1]: attribute bold='yes' is not true/false")
+
+
 def test_equal_token_values_are_one_object():
     token = '<token font="Serif" size="9.5" link="p2">{}</token>'
     doc = parse_document(_two_lines(token.format("Contents") + token.format("Index"),
                                     token.format("Contents")))
     (a, b), (c,) = (line.tokens for line in doc.pages[0].lines)
-    assert a.text is c.text and a.text != b.text
+    assert a is c and a.text != b.text
     assert a.font_family is b.font_family is c.font_family
     assert a.font_size is b.font_size is c.font_size
     assert a.link_target is b.link_target is c.link_target
+
+
+def test_equal_text_with_other_attributes_is_another_token():
+    doc = parse_document(_two_lines('<token size="9">x</token><token size="9.0">x</token>',
+                                    '<token size="9" bold="false">x</token><token>x</token>'))
+    tokens = [token for line in doc.pages[0].lines for token in line.tokens]
+    assert len({id(token) for token in tokens}) == 4
+    assert [token.font_size for token in tokens] == [9.0, 9.0, 9.0, 0.0]
 
 
 def test_parsed_document_holds_no_reference_cycles():
@@ -359,3 +376,37 @@ def _outcome(parse, data):
 @example(_one_token('<token bold="yes">x</token>') + b"\x00")  # the malformed byte wins
 def test_parse_matches_elementtree_reference(data):
     assert _outcome(parse_document, data) == _outcome(reference_parse_document, data)
+
+
+class _Trickle:
+    """A binary file whose reads return 1-7 bytes each, as a pipe may, cycling through sizes."""
+
+    def __init__(self, data, sizes):
+        self.data, self.sizes, self.at = data, itertools.cycle(sizes), 0
+
+    def read(self, n):
+        chunk = self.data[self.at:self.at + min(n, next(self.sizes))]
+        self.at += len(chunk)
+        return chunk
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_mutated_documents(), _documents().map(write_document_xml)),
+       st.lists(st.integers(1, 7), min_size=1, max_size=8))
+@example(codecs.BOM_UTF8 + MINIMAL, [1])  # the BOM comes in three reads
+@example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + MINIMAL, [2])
+@example(_one_token("<token>caf\u00e9 &amp; \u4e2d&#x4e2d;</token>"), [1])
+@example(_one_token('<token bold="yes">x</token>') + b"\x00", [7])  # the malformed byte wins
+@example(MINIMAL + b'size="nan" ', [1])  # a name cut short after the root element
+def test_file_input_matches_bytes_input(data, sizes):
+    # read boundaries fall inside names, entities, multi-byte characters and a leading BOM
+    assert (_outcome(lambda data: parse_document(_Trickle(data, sizes)), data)
+            == _outcome(parse_document, data))
+
+
+def test_input_in_one_block_reaches_expat_whole():
+    # in UTF-16 a '>' byte may sit inside another character: here a name after the root element
+    text = '<?xml version="1.0" encoding="UTF-16"?>' + MINIMAL.decode() + "a\u3e00b="
+    data = codecs.BOM_UTF16_BE + text.encode("utf-16-be")
+    assert _outcome(parse_document, data) == _outcome(reference_parse_document, data)
+    assert "not well-formed (invalid token)" in _outcome(parse_document, data)[0][1]
