@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import dataset as dataset_mod
 from . import docmodel, features, pipeline, tree
@@ -164,15 +163,13 @@ def _write_output(payload: bytes, out_path: str | None):
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out_path)), f".tocdetect-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tocdetect-")
+        # as open(path, "wb") does: the kernel takes the umask off 0666, so no umask is read
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
-            umask = os.umask(0)  # reading the umask means setting it
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> the mode open(path, "wb") gives
             os.replace(tmp, out_path)
         except BaseException:
             if os.path.exists(tmp):

@@ -2,8 +2,9 @@
 
 Ten features per page: title-term presence/style/font/context/position,
 section-keyword and line-number frequencies, ascending-page-number check,
-and outgoing-link frequency. All frequencies are normalized by the page's
-total line count (empty lines included).
+and outgoing-link frequency. Frequencies and the title line's position
+(from 0) are divided by the page's total line count (empty lines
+included). A line is taken by its position in `page.lines`, not `Line.index`.
 """
 
 from __future__ import annotations
@@ -81,42 +82,42 @@ class FeatureVector:
 def find_title_line(page: Page, cfg: FeatureConfig):
     """Locate the best title-term line on a page.
 
-    A line is a candidate if its lowercased words, joined with single
-    spaces and padded with a space at each end, contain " phrase " for a
-    configured phrase; one `str.find` per phrase finds it, and the spaces
-    before the hit count the words before it. Longer phrases are tried
-    first per line, equal lengths in config order. The contextual count is
-    the number of tokens on that line taking no part in the matched phrase.
-    Returns (line_index, contextual_count, matched_phrase) for the candidate
-    with the fewest contextual tokens (ties: earliest line), or None.
+    A line is a candidate if its token texts, joined, lowercased once and
+    re-joined as single-spaced words with a space at each end, contain
+    " phrase " for a configured phrase; one `str.find` per phrase finds it,
+    and the spaces before the hit count the words before it. Longer phrases
+    are tried first per line, equal lengths in config order. The contextual
+    count is the number of the line's tokens outside the matched phrase.
+    Returns (line position, contextual_count, matched_phrase) for the
+    candidate with the fewest contextual tokens (ties: earliest line), or None.
     """
     phrases = sorted(cfg.title_terms, key=lambda phrase: phrase.count(" "), reverse=True)
     best = None
-    for line in page.lines:
-        token_words = [tok.text.lower().split() for tok in line.tokens]  # zero or more per token
-        text = f" {' '.join(word for words in token_words for word in words)} "
+    for position, line in enumerate(page.lines):
+        text = f" {' '.join(' '.join(tok.text for tok in line.tokens).lower().split())} "
         for phrase in phrases:
             at = text.find(f" {phrase} ")
             if at != -1:
-                owners = [ti for ti, words in enumerate(token_words) for _ in words]
+                # lowercasing keeps whitespace, so each token splits into as many words as above
+                owners = [ti for ti, tok in enumerate(line.tokens) for _ in tok.text.split()]
                 start = text.count(" ", 0, at)  # words before the hit
                 used = owners[start:start + phrase.count(" ") + 1]
                 contextual = len(line.tokens) - len(set(used))
-                if best is None or (contextual, line.index) < (best[1], best[0]):
-                    best = (line.index, contextual, phrase)
+                if best is None or contextual < best[1]:
+                    best = (position, contextual, phrase)
                 break
     return best
 
 
-def title_style(page: Page, title_line_index: int) -> str:
+def title_style(page: Page, title_position: int) -> str:
     """Size rank of the title line: LARGEST, MOST_FREQUENT, or INTERMEDIATE.
 
-    Compares the title line's max token size against the page-wide max and
-    the page-wide modal size (mode by token count; tied modes resolve to
-    the largest size). Sizes compare by exact equality.
+    Compares the max token size of the line at `title_position` against the
+    page-wide max and the page-wide modal size (mode by token count; tied
+    modes resolve to the largest size). Sizes compare by exact equality.
     """
     counts = Counter(tok.font_size for ln in page.lines for tok in ln.tokens)
-    s = max(tok.font_size for tok in page.lines[title_line_index].tokens)
+    s = max(tok.font_size for tok in page.lines[title_position].tokens)
     if s == max(counts):
         return "LARGEST"
     if s == max(counts, key=lambda size: (counts[size], size)):
@@ -141,45 +142,41 @@ def trailing_page_number(line: Line, cfg: FeatureConfig) -> int | None:
     return None
 
 
-def _has_section_keyword(line: Line, cfg: FeatureConfig) -> bool:
-    return any(tok.text.lower() in cfg.section_keywords for tok in line.tokens)
-
-
 def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVector:
     """Compute the canonical ten-feature vector for one page. Pure function."""
     cfg = cfg or FeatureConfig()
-    total = len(page.lines)
+    total = len(page.lines) or 1  # an empty page has no counts, so every frequency is 0.0
 
     title = find_title_line(page, cfg)
     if title is None:
         contains, style, font_class, contextual, position = False, "NA", "NA", 0, 1.0
     else:
-        title_index, contextual, _ = title
+        title_position, contextual, _ = title
         contains = True
-        style = title_style(page, title_index)
-        font_class = page.lines[title_index].tokens[0].font_family
-        position = title_index / total
+        style = title_style(page, title_position)
+        font_class = page.lines[title_position].tokens[0].font_family
+        position = title_position / total
 
-    def freq(count: int) -> float:
-        return count / total if total else 0.0
-
-    trailing = [
-        num for num in (trailing_page_number(ln, cfg) for ln in page.lines)
-        if num is not None
-    ]
+    keyword_lines = start_lines = link_lines = 0
+    trailing = []
+    for line in page.lines:
+        keyword_lines += any(tok.text.lower() in cfg.section_keywords for tok in line.tokens)
+        start_lines += starts_with_number(line)
+        link_lines += any(tok.link_target is not None for tok in line.tokens)
+        number = trailing_page_number(line, cfg)
+        if number is not None:
+            trailing.append(number)
     return FeatureVector(
         contains_title_term=contains,
         title_term_style=style,
         title_term_font_class=font_class,
         contextual_term_count=contextual,
-        section_term_frequency=freq(sum(_has_section_keyword(ln, cfg) for ln in page.lines)),
+        section_term_frequency=keyword_lines / total,
         title_term_line_position=position,
-        line_start_number_frequency=freq(sum(starts_with_number(ln) for ln in page.lines)),
-        line_end_number_frequency=freq(len(trailing)),
+        line_start_number_frequency=start_lines / total,
+        line_end_number_frequency=len(trailing) / total,
         numbers_ascending=all(a <= b for a, b in zip(trailing, trailing[1:])),
-        outgoing_link_frequency=freq(
-            sum(any(tok.link_target is not None for tok in ln.tokens) for ln in page.lines)
-        ),
+        outgoing_link_frequency=link_lines / total,
     )
 
 

@@ -114,12 +114,12 @@ def brute_force_title_line(page, cfg):
     Slides every configured phrase, as a word list, over each line's
     lowercased words; longer phrases first per line, equal lengths in
     config order; the best line has the fewest tokens outside the match
-    (ties: earliest line). Returns (line_index, contextual_count,
-    matched_phrase) or None.
+    (ties: earliest line). Returns (line position in page.lines,
+    contextual_count, matched_phrase) or None; Line.index is not read.
     """
     phrases = sorted((phrase.split() for phrase in cfg.title_terms), key=len, reverse=True)
     best = None
-    for line in page.lines:
+    for position, line in enumerate(page.lines):
         words, owners = [], []  # lowercased words; tokens may hold several words
         for ti, token in enumerate(line.tokens):
             for word in token.text.lower().split():
@@ -131,10 +131,60 @@ def brute_force_title_line(page, cfg):
                         None)
             if span is not None:
                 contextual = len(line.tokens) - len(set(owners[span:span + n]))
-                if best is None or (contextual, line.index) < (best[1], best[0]):
-                    best = (line.index, contextual, " ".join(phrase_words))
+                if best is None or (contextual, position) < (best[1], best[0]):
+                    best = (position, contextual, " ".join(phrase_words))
                 break
     return best
+
+
+def reference_features(page, cfg):
+    """Naive whole-vector reference, one README feature at a time, as a column dict.
+
+    Each frequency counts lines meeting its rule and divides by the line count (0.0
+    on a page with no lines). Lines are taken by position; Line.index is not read.
+    """
+    lines = page.lines
+    n = len(lines)
+
+    def frequency(rule):
+        return sum(1 for ln in lines if rule(ln)) / n if n else 0.0
+
+    def section_number(text):  # 1, 1.2, 1.2. : ASCII digit groups joined by dots
+        parts = (text[:-1] if text.endswith(".") else text).split(".")
+        return all(part.isascii() and part.isdigit() for part in parts)
+
+    def page_number(ln):  # value of a trailing 1..max-digit ASCII number, or None
+        text = ln.tokens[-1].text if ln.tokens else ""
+        short = 1 <= len(text) <= cfg.max_page_number_digits
+        return int(text) if short and text.isascii() and text.isdigit() else None
+
+    title = brute_force_title_line(page, cfg)
+    sizes = [t.font_size for ln in lines for t in ln.tokens]
+    if title is None:
+        style, font, contextual, position = "NA", "NA", 0, 1.0
+    else:
+        title_line = lines[title[0]]
+        title_size = max(t.font_size for t in title_line.tokens)
+        mode = max(set(sizes), key=lambda size: (sizes.count(size), size))
+        style = ("LARGEST" if title_size == max(sizes)
+                 else "MOST_FREQUENT" if title_size == mode else "INTERMEDIATE")
+        font, contextual, position = title_line.tokens[0].font_family, title[1], title[0] / n
+    numbers = [page_number(ln) for ln in lines if page_number(ln) is not None]
+    return {
+        "contains_title_term": title is not None,
+        "title_term_style": style,
+        "title_term_font_class": font,
+        "contextual_term_count": contextual,
+        "section_term_frequency": frequency(
+            lambda ln: any(t.text.lower() in cfg.section_keywords for t in ln.tokens)),
+        "title_term_line_position": position,
+        "line_start_number_frequency": frequency(
+            lambda ln: bool(ln.tokens) and section_number(ln.tokens[0].text)),
+        "line_end_number_frequency": frequency(lambda ln: page_number(ln) is not None),
+        "numbers_ascending": numbers == sorted(numbers),
+        "outgoing_link_frequency": frequency(
+            lambda ln: any(t.link_target is not None for t in ln.tokens)),
+    }
 
 
 def route_json_tree(node, vector):

@@ -201,7 +201,7 @@ def test_missing_input_file_is_io_error(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_out_file_mode_follows_umask(tmp_path, fixture_csv):
-    # as open(path, "wb") would create it, not mkstemp's 0600
+    # as open(path, "wb") would create it: 0666 less the umask
     out = tmp_path / "m.json"
     old = os.umask(0o022)
     try:
@@ -209,6 +209,22 @@ def test_out_file_mode_follows_umask(tmp_path, fixture_csv):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_out_file_mode_reads_no_umask(tmp_path, monkeypatch):
+    # os.umask sets the mode mask of the whole process, which other threads share
+    def umask(_):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o022)
+    monkeypatch.setattr(os, "umask", umask)
+    try:
+        assert run(["fixture", "--table1", "--out", str(tmp_path / "t1.csv")]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert (tmp_path / "t1.csv").stat().st_mode & 0o777 == 0o644
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".tocdetect-")] == []
 
 
 def test_train_is_deterministic(tmp_path, fixture_csv):

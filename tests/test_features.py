@@ -17,7 +17,9 @@ from tocdetect.features import (
 )
 from tocdetect.schema import ClassLabel
 
-from helpers import brute_force_title_line, canonical_toc_page, line, page, tok
+from helpers import (
+    brute_force_title_line, canonical_toc_page, line, page, reference_features, tok,
+)
 
 CFG = FeatureConfig()
 
@@ -102,7 +104,7 @@ _title_configs = st.lists(
 @settings(max_examples=300)
 @given(st.lists(st.lists(_title_tokens, max_size=6), max_size=5), st.data(), _title_configs)
 def test_title_line_matches_word_window_oracle(specs, data, cfg):
-    # line indexes are shuffled, so the earliest-line tie rule reads Line.index, not position
+    # Line.index values are shuffled: both finders read positions, so the indexes must not matter
     order = data.draw(st.permutations(range(len(specs))))
     p = Page(index=1, lines=tuple(Line(tokens=tuple(t), index=i) for t, i in zip(specs, order)))
     assert find_title_line(p, cfg) == brute_force_title_line(p, cfg)
@@ -276,6 +278,18 @@ def test_section_term_frequency_whole_token_case_insensitive():
     assert extract_features(p, CFG).section_term_frequency == 0.25 * 2
 
 
+@pytest.mark.parametrize("p, indexes", [
+    (page([["Contents"]]), [1]),
+    (canonical_toc_page(), range(10, 0, -1)),
+    (page([["intro"], ["table", "of", "contents"], ["1.", "Intro", "3"]]), [7, 7, 0]),
+], ids=["one-line-index-1", "reversed", "repeated"])
+def test_line_index_is_not_read(p, indexes):
+    # a title on the line at position 0 with Line.index 1 once indexed past the page's end
+    renumbered = Page(index=p.index, lines=tuple(Line(tokens=ln.tokens, index=i)
+                                                 for ln, i in zip(p.lines, indexes)))
+    assert extract_features(renumbered, CFG) == extract_features(p, CFG)
+
+
 def test_extraction_is_pure():
     p = canonical_toc_page()
     assert extract_features(p, CFG) == extract_features(p, CFG)
@@ -321,6 +335,43 @@ def test_appending_inert_line_never_increases_frequencies(p):
     assert fv2.outgoing_link_frequency <= fv.outgoing_link_frequency or not p.lines
     if fv.numbers_ascending:
         assert fv2.numbers_ascending
+
+
+_VECTOR_WORDS = st.sampled_from([
+    "Contents", "table", "of", "CONTENTS", "Chapter", "SECTION", "index", "\u0130ndex",
+    "\u0130", "\u00df", "SS", "\u03a3", "\u0391\u03a3", "\u03b1\u03c2",
+    "1", "1.", "1.2", "1.2.", "1..2", ".", "12", "0007", "123456", "\u0663", "x",
+])
+_STYLE = {
+    "font_size": st.sampled_from([0.0, 10.0, 12.0, 18.0]),
+    "font_family": st.sampled_from(["unknown", "Times New Roman", "\u00df"]),
+    "link_target": st.sampled_from([None, "p1", ""]),
+}
+# multi-word tokens with Unicode whitespace and padding, or a bare number, often repeated
+_vector_tokens = st.one_of(
+    st.builds(
+        lambda words, seps, pad, **style: tok(
+            pad + "".join(w + s for w, s in zip(words, seps)).rstrip() + pad, **style),
+        st.lists(_VECTOR_WORDS, min_size=1, max_size=3),
+        st.lists(_SPACES, min_size=3, max_size=3), st.sampled_from(["", " ", "\t"]), **_STYLE),
+    st.builds(tok, st.sampled_from(["3", "3", "12", "0007", "123456", "\u0663", "1.2."]), **_STYLE),
+)
+_vector_configs = st.builds(
+    FeatureConfig,
+    title_terms=_title_configs.map(lambda cfg: cfg.title_terms),
+    section_keywords=st.sets(st.sampled_from(["chapter", "Section", " INDEX ", "\u0130",
+                                              "ss", "\u03c3", "teil 2"]), min_size=1),
+    max_page_number_digits=st.integers(1, 5),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_vector_tokens, max_size=5), max_size=6), st.data(), _vector_configs)
+def test_features_match_naive_reference(specs, data, cfg):
+    # Line.index values are drawn apart from positions, which both sides must ignore
+    indexes = data.draw(st.lists(st.integers(0, 9), min_size=len(specs), max_size=len(specs)))
+    p = Page(index=1, lines=tuple(Line(tokens=tuple(t), index=i) for t, i in zip(specs, indexes)))
+    assert extract_features(p, cfg).as_dict() == reference_features(p, cfg)
 
 
 # -- write_feature_csv -----------------------------------------------------------

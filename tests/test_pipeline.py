@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from tocdetect import schema
 from tocdetect.dataset import Dataset, load_csv, table1_fixture
+from tocdetect.docmodel import DocumentModel, Line, Page, Token, parse_document, write_document_xml
 from tocdetect.errors import ColumnMismatch, EmptyDataset
+from tocdetect.features import FeatureConfig, extract_features, write_feature_csv
 from tocdetect.pipeline import (
     DetectionResult,
     EvaluationReport,
@@ -17,7 +19,7 @@ from tocdetect.pipeline import (
     scan_count,
 )
 from tocdetect.schema import ClassLabel
-from tocdetect.tree import Node, TrainedModel, classify, learn
+from tocdetect.tree import Node, TrainedModel, classify, learn, load_model, save_model
 
 from helpers import canonical_toc_page, doc, page
 
@@ -264,3 +266,47 @@ def test_evaluate_and_loo_match_the_public_classify(train_test_limits):
         fold_model = learn(rest, **limits)
         folds.append((gold, classify(fold_model, dict(zip(train.columns, values)))[0]))
     assert leave_one_out(train, **limits) == _tally_of(folds)
+
+
+# -- the train/predict contract ------------------------------------------------------
+
+# fonts that normalize alike, need CSV or XML quoting, or change length under case mapping
+_FONTS = ["Times New Roman", "times-new roman", "a,b", 'q"uote', "\u00df", "\u01c5", "\u0130",
+          "\ufb01", "\u03a9-\u03c9", "_", "-"]
+_WORDS = ["Contents", "table of", "CONTENTS", "Inhalt", "Chapter", "KAPITEL", "\u00df", "\u0130",
+          "1.", "2.1", "7", "7", "12", "345678", "prose"]
+_doc_token = st.builds(
+    Token, st.sampled_from(_WORDS), font_family=st.sampled_from(_FONTS),
+    font_size=st.sampled_from([0.0, 9.5, 12.0, 18.0]), link_target=st.sampled_from([None, "p2"]))
+_documents = st.lists(st.lists(st.lists(_doc_token, max_size=4), max_size=5), min_size=1,
+                      max_size=6).map(lambda pages: DocumentModel(id="d", pages=tuple(
+                          Page(index=p, lines=tuple(Line(tokens=tuple(tokens), index=i)
+                                                    for i, tokens in enumerate(lines)))
+                          for p, lines in enumerate(pages, start=1))))
+_configs = st.builds(
+    FeatureConfig,
+    title_terms=st.lists(st.sampled_from(["contents", "table of contents", "Inhalt", "\u00df",
+                                          "\u0130"]), min_size=1, max_size=3).map(tuple),
+    section_keywords=st.sets(st.sampled_from(["chapter", "Kapitel", "SS", "\u0130"]), min_size=1),
+    max_page_number_digits=st.integers(1, 6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents, _configs, st.data())
+def test_train_and_predict_see_the_same_features_and_config(document, cfg, data):
+    parsed = parse_document(write_document_xml(document))
+    vectors = [extract_features(p, cfg) for p in parsed.pages]
+    labels = data.draw(st.lists(st.sampled_from([TOC, NON]), min_size=len(vectors),
+                                max_size=len(vectors)))
+    loaded = load_csv(write_feature_csv(
+        (p.index, vector, label) for p, vector, label in zip(parsed.pages, vectors, labels)))
+    assert [values for values, _ in loaded.rows] == [
+        tuple(schema.check_value(c, vector.as_dict()[c]) for c in loaded.columns)
+        for vector in vectors]
+    model = load_model(save_model(learn(loaded, config=cfg)))  # the config rides in the model
+    assert model.config_echo == cfg
+    trained_toc = [p.index for p, (values, _) in zip(parsed.pages, loaded.rows)
+                   if classify(model, dict(zip(loaded.columns, values)))[0] is TOC]
+    detected = detect(parsed, model, prefix_fraction=1.0)
+    assert [index for index, _ in detected.toc_pages] == trained_toc
