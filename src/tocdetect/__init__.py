@@ -1,51 +1,32 @@
-"""TOC-page detection: XML page model, layout/term features, decision tree."""
+"""TOC-page detection: XML page model, layout/term features, decision tree.
 
-from .dataset import Dataset, load_csv, table1_fixture, write_csv
-from .docmodel import DocumentModel, Line, Page, Token, parse_document
-from .features import FeatureConfig, FeatureVector, extract_features, write_feature_csv
-from .pipeline import DetectionResult, EvaluationReport, detect, evaluate, leave_one_out
-from .schema import ClassLabel
-from .tree import (
-    TrainedModel,
-    best_split,
-    classify,
-    entropy,
-    export_dot,
-    export_text,
-    learn,
-    load_model,
-    save_model,
-)
+The names in __all__, and the submodules, are imported on first use, so a
+command loads only the modules it runs: `train` and `eval` never load the XML parser.
+"""
 
-__all__ = [
-    "ClassLabel",
-    "Dataset",
-    "DetectionResult",
-    "DocumentModel",
-    "EvaluationReport",
-    "FeatureConfig",
-    "FeatureVector",
-    "Line",
-    "Page",
-    "Token",
-    "TrainedModel",
-    "best_split",
-    "classify",
-    "detect",
-    "entropy",
-    "evaluate",
-    "export_dot",
-    "export_text",
-    "extract_features",
-    "learn",
-    "leave_one_out",
-    "load_csv",
-    "load_model",
-    "parse_document",
-    "save_model",
-    "table1_fixture",
-    "write_csv",
-    "write_feature_csv",
-]
+import importlib
+
+_NAMES = {  # submodule -> the public names it defines
+    "dataset": ("Dataset", "load_csv", "table1_fixture", "write_csv"),
+    "docmodel": ("DocumentModel", "Line", "Page", "Token", "parse_document"),
+    "features": ("FeatureConfig", "FeatureVector", "extract_features", "write_feature_csv"),
+    "pipeline": ("DetectionResult", "EvaluationReport", "detect", "evaluate", "leave_one_out"),
+    "schema": ("ClassLabel",),
+    "tree": ("TrainedModel", "best_split", "classify", "entropy", "export_dot", "export_text",
+             "learn", "load_model", "save_model"),
+    "errors": (),
+}
+_HOMES = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _NAMES:  # importing a submodule binds it here as well
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    return value

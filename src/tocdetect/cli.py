@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import dataset as dataset_mod
-from . import docmodel, features, pipeline, tree
+from . import features, tree
 from .errors import DataTypeError, ModelError, TocDetectError
 from .features import FeatureConfig
 from .schema import parse_label, parse_number
@@ -192,7 +192,9 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _read_document(path: str) -> docmodel.DocumentModel:
+def _read_document(path: str):
+    from . import docmodel  # here, so that only the commands that read a document load expat
+
     try:
         with open(path, "rb") as fh:
             return docmodel.parse_document(fh)  # expat reads the file as it parses
@@ -220,6 +222,8 @@ def _cmd_train(args) -> bytes:
 
 
 def _cmd_predict(args) -> bytes:
+    from . import pipeline
+
     if not 0 < args.prefix <= 1:
         raise UsageError(f"--prefix must be in (0, 1], got {args.prefix}")
     model = _read_model(args.model)
@@ -231,6 +235,8 @@ def _cmd_predict(args) -> bytes:
 
 
 def _cmd_eval(args) -> bytes:
+    from . import pipeline
+
     if args.loo:
         if len(args.paths) != 1:
             raise UsageError("--loo takes exactly one CSV path")

@@ -10,7 +10,6 @@ underscore on output); reals are decimal literals.
 from __future__ import annotations
 
 import csv
-import importlib.resources
 import io
 from dataclasses import dataclass
 
@@ -79,23 +78,39 @@ def load_csv(data: bytes) -> Dataset:
         feature_cols = feature_cols[1:]
     else:
         skip_page = False
-    Dataset(columns=tuple(feature_cols), rows=())  # column rules, before parse_value looks them up
+    dataset = Dataset(columns=tuple(feature_cols), rows=())  # column rules, before cells are read
 
-    rows = []
+    # Columns repeat a few values, so each distinct cell text of a column is parsed and checked
+    # once. The first failed check is raised only once the whole file has parsed, so an error
+    # in reading any cell, label or row wins, as when every cell was parsed before any check.
+    checked = [{} for _ in feature_cols]  # per column: cell text -> checked value
+    labels, rows, failed = {}, [], None
     # rows are numbered as data rows (blank lines skipped), as Dataset numbers them
     for r, cells in enumerate(filter(None, reader), start=1):
         if len(cells) != len(header):
             raise UnknownColumn(f"row {r} has {len(cells)} cells for {len(header)} columns")
         if skip_page:
             cells = cells[1:]
-        values = tuple(
-            schema.parse_value(name, cell, row=r)
-            for name, cell in zip(feature_cols, cells[:-1])
-        )
-        rows.append((values, schema.parse_label(cells[-1], row=r)))
+        values = []
+        for name, memo, cell in zip(feature_cols, checked, cells):
+            value = memo.get(cell)  # no checked value is None
+            if value is None:
+                value = schema.parse_value(name, cell, row=r)
+                try:
+                    value = memo[cell] = schema.check_value(name, value, row=r)
+                except DataTypeError as exc:
+                    failed = failed or exc
+            values.append(value)
+        label = labels.get(cells[-1])
+        if label is None:
+            label = labels[cells[-1]] = schema.parse_label(cells[-1], row=r)
+        rows.append((tuple(values), label))
     if not rows:
         raise EmptyDataset("CSV contains a header but no data rows")
-    return Dataset(columns=tuple(feature_cols), rows=tuple(rows))
+    if failed:
+        raise failed
+    object.__setattr__(dataset, "rows", tuple(rows))  # checked above: not again by Dataset
+    return dataset
 
 
 def write_csv(data: Dataset) -> bytes:
@@ -111,6 +126,8 @@ def write_csv(data: Dataset) -> bytes:
 
 def table1_csv_bytes() -> bytes:
     """The shipped 10-row training CSV, byte-exact."""
+    import importlib.resources  # only the fixture needs it, and it is slow to import
+
     return importlib.resources.files("tocdetect").joinpath("fixtures/table1.csv").read_bytes()
 
 

@@ -44,6 +44,10 @@ from .schema import parse_number
 log = logging.getLogger(__name__)
 _TOKEN_ATTRS = {"font", "size", "bold", "italic", "link"}
 _BLOCK = 1 << 16
+# the '>' of UTF-16 input, told by its BOM or by its first '<'; expat's other encodings are
+# UTF-8 and single-byte ones
+_UTF16_GT = {codecs.BOM_UTF16_BE: b"\0>", b"\0<": b"\0>",
+             codecs.BOM_UTF16_LE: b">\0", b"<\0": b">\0"}
 
 
 @dataclass(slots=True)
@@ -203,16 +207,23 @@ def parse_document(source) -> DocumentModel:
     parser.EndElementHandler = end
     # Expat gets the input up to a '>' in the last block read before more input, and the rest
     # at the end: a name cut short after the root element would read as junk there, where the
-    # whole input gives another error. Only the last held block can hold a '>'.
+    # whole input gives another error. Only the last held block can hold a '>'. In UTF-16 a
+    # '>' is a byte pair at an even offset; a 3E byte alone may be half of another character.
+    gt = _UTF16_GT.get(head[:2], b">")
     held = [b"" if head == codecs.BOM_UTF8 else head]
+    at = len(head) - len(held[0])  # input offset of held[-1]
     try:
         while block := fh.read(_BLOCK):
             last = held[-1]
-            cut = last.rfind(b">") + 1
-            if cut:
+            cut = last.rfind(gt)
+            while cut >= 0 and (at + cut) % len(gt):
+                cut = last.rfind(gt, 0, cut + len(gt) - 1)
+            if cut >= 0:
+                cut += len(gt)
                 held[-1] = last[:cut]
                 parser.Parse(b"".join(held), False)
                 held = [last[cut:]]
+            at += len(last)
             held.append(block)
         parser.Parse(b"".join(held), True)
     except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: bad encoding="..."

@@ -14,11 +14,14 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import schema
-from .docmodel import Line, Page
 from .errors import MixedLabeling
 from .schema import ClassLabel
+
+if TYPE_CHECKING:  # a feature CSV is read without the XML parser
+    from .docmodel import Line, Page
 
 DEFAULT_TITLE_TERMS = (
     "table of contents",

@@ -3,6 +3,9 @@
 detect() classifies the leading fraction of a document's pages with
 classify(), which checks every value. evaluate() and leave_one_out() tally
 confusion matrices (TOC positive) on a Dataset's rows, taken as checked.
+leave_one_out() grows each fold's tree only along the held-out row's path.
+The page model is imported for type checking alone, so evaluating a CSV never
+loads the XML parser.
 """
 
 from __future__ import annotations
@@ -10,14 +13,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .dataset import Dataset
-from .docmodel import DocumentModel
 from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
 from .schema import ClassLabel
-from .tree import TrainedModel, _learn_rows, _walk, classify
+from .tree import TrainedModel, _check_limits, _path_label, _walk, classify
+
+if TYPE_CHECKING:
+    from .docmodel import DocumentModel
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,8 @@ class EvaluationReport:
 
 def scan_count(page_count: int, prefix_fraction: float) -> int:
     """Pages to scan: max(1, ceil(fraction * page_count)), computed exactly."""
+    from fractions import Fraction  # only detect needs it, and it is slow to import
+
     # Fraction-of-str avoids float fuzz like ceil(0.3 * 10) == 4.
     return max(1, math.ceil(Fraction(str(prefix_fraction)) * page_count))
 
@@ -157,12 +164,15 @@ def evaluate(model: TrainedModel, data: Dataset) -> EvaluationReport:
 def leave_one_out(
     data: Dataset, max_depth: int | None = None, min_rows: int = 1
 ) -> EvaluationReport:
-    """Hold out each row in turn, train on the rest, classify the held-out row."""
+    """Hold out each row in turn, train on the rest, classify the held-out row.
+
+    Each fold grows only the held-out row's path through the tree learn would give, so a
+    fold fails as too deep (DatasetError) only where that path passes MAX_TREE_DEPTH.
+    """
     if len(data.rows) < 2:
         raise EmptyDataset("leave-one-out needs at least 2 rows")
+    _check_limits(max_depth, min_rows)
     rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
-    pairs = []
-    for i, (vector, gold) in enumerate(rows):
-        model = _learn_rows(rows[:i] + rows[i + 1:], data.columns, max_depth, min_rows)
-        pairs.append((gold, _walk(model.root, vector)[0]))
-    return _tally(pairs)
+    return _tally((gold, _path_label(rows[:i] + rows[i + 1:], data.columns, vector,
+                                     max_depth, min_rows))
+                  for i, (vector, gold) in enumerate(rows))

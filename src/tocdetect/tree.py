@@ -10,6 +10,12 @@ Every node is one Node: its counts and, for a split, its feature, threshold
 (None for a categorical split) and branches, key -> child. A leaf has no
 branches. A numeric split's keys are True (value <= threshold) and False; a
 categorical split's keys are its normalized values, in serialized value order.
+
+One rule set (_split) decides where a node stops and how it splits, both for
+learn, which grows every node, and for leave-one-out, which grows only the
+nodes on the held-out row's path (_path_label): the label that path reaches
+is all a fold needs. A node deeper than MAX_TREE_DEPTH is a DatasetError in
+either, so leave-one-out fails only where a held-out row's path passes it.
 """
 
 from __future__ import annotations
@@ -150,17 +156,20 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
     return best
 
 
-def _build(rows, available, depth, max_depth, min_rows) -> Node:
+def _split(rows, counts, available, depth, max_depth, min_rows) -> Optional[SplitCandidate]:
+    """The split _build makes at a node of rows at depth, or None where the node is a leaf.
+
+    Raises DatasetError at a node deeper than MAX_TREE_DEPTH, leaf or not."""
     if depth > MAX_TREE_DEPTH:
         raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
+    if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
+        return None
+    return best_split(rows, available)
+
+
+def _build(rows, available, depth, max_depth, min_rows) -> Node:
     counts = _count(rows)
-    if (
-        0 in counts
-        or len(rows) < 2 * min_rows
-        or (max_depth is not None and depth >= max_depth)
-    ):
-        return Node(counts)
-    cand = best_split(rows, available)
+    cand = _split(rows, counts, available, depth, max_depth, min_rows)
     if cand is None:
         return Node(counts)
     if cand.threshold is None:  # every row below a categorical split shares its value
@@ -170,6 +179,33 @@ def _build(rows, available, depth, max_depth, min_rows) -> Node:
         for key, group in _groups(rows, cand.feature, cand.threshold).items()
     }
     return Node(counts, cand.feature, cand.threshold, branches)
+
+
+def _path_label(rows, columns, values, max_depth, min_rows) -> ClassLabel:
+    """_walk(learned root, values)[0] for the tree learned from rows, found by growing only the
+    nodes that walk visits. DatasetError only where the walk passes MAX_TREE_DEPTH."""
+    available, depth = list(columns), 0
+    while True:
+        counts = _count(rows)
+        cand = _split(rows, counts, available, depth, max_depth, min_rows)
+        if cand is None:
+            break
+        value = values[cand.feature]
+        key = value if cand.threshold is None else value <= cand.threshold
+        groups = _groups(rows, cand.feature, cand.threshold)
+        if key not in groups:  # a level no row here has: _walk stops at this node
+            break
+        if cand.threshold is None:
+            available = [c for c in available if c != cand.feature]
+        rows, depth = groups[key], depth + 1
+    return Node(counts).label
+
+
+def _check_limits(max_depth, min_rows):
+    if min_rows < 1:
+        raise ValueError("min_rows must be >= 1")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
 
 
 def _counts_json(counts: Counts) -> dict:
@@ -185,18 +221,11 @@ def learn(
     """Induce a decision tree from a labeled dataset. Deterministic; DatasetError if too deep."""
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
+    _check_limits(max_depth, min_rows)
     rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
-    return _learn_rows(rows, data.columns, max_depth, min_rows, config)
-
-
-def _learn_rows(rows, columns, max_depth, min_rows, config=None) -> TrainedModel:
-    """learn() on non-empty rows already checked, as (column -> tree-form value, label)."""
-    if min_rows < 1:
-        raise ValueError("min_rows must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    root = _build(rows, list(columns), 0, max_depth, min_rows)
-    return TrainedModel(root=root, columns=tuple(columns), config_echo=config or FeatureConfig())
+    root = _build(rows, list(data.columns), 0, max_depth, min_rows)
+    config = config or FeatureConfig()
+    return TrainedModel(root=root, columns=tuple(data.columns), config_echo=config)
 
 
 def classify(model: TrainedModel, vector: Mapping) -> tuple[ClassLabel, Counts]:

@@ -1,13 +1,31 @@
 """Shared builders and independent oracles for the test suite."""
 
 import codecs
+import csv
+import io
 import logging
 import math
 import xml.etree.ElementTree as ET
 
+from tocdetect.dataset import Dataset
 from tocdetect.docmodel import DocumentModel, Line, Page, Token
-from tocdetect.errors import MalformedXml, SchemaViolation
-from tocdetect.schema import CANONICAL_COLUMNS, Kind, canonical_index, format_value, parse_number
+from tocdetect.errors import (
+    DatasetError,
+    EmptyDataset,
+    MalformedXml,
+    MissingLabelColumn,
+    SchemaViolation,
+    UnknownColumn,
+)
+from tocdetect.schema import (
+    CANONICAL_COLUMNS,
+    Kind,
+    canonical_index,
+    format_value,
+    parse_label,
+    parse_number,
+    parse_value,
+)
 
 log = logging.getLogger("tocdetect.docmodel")  # the reference parser warns where docmodel does
 
@@ -309,3 +327,47 @@ def reference_parse_document(xml_bytes: bytes) -> DocumentModel:
     if not pages:
         raise SchemaViolation("document has no pages", "document")
     return DocumentModel(id=doc_id, pages=tuple(pages))
+
+
+def reference_load_csv(data: bytes) -> Dataset:
+    """dataset.load_csv as it was before it checked each distinct cell once, kept as its
+    reference: every cell is parsed, then the public Dataset constructor checks every value."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"CSV is not UTF-8: {exc}") from exc
+    reader = _csv_records(text)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyDataset("no header row")
+    header = [cell.strip() for cell in header]
+    if not header or header[-1] != "label":
+        raise MissingLabelColumn("last column must be 'label'")
+    feature_cols = header[:-1]
+    if feature_cols and feature_cols[0] == "page":
+        skip_page = True
+        feature_cols = feature_cols[1:]
+    else:
+        skip_page = False
+    Dataset(columns=tuple(feature_cols), rows=())  # column rules, before parse_value looks them up
+
+    rows = []
+    for r, cells in enumerate(filter(None, reader), start=1):
+        if len(cells) != len(header):
+            raise UnknownColumn(f"row {r} has {len(cells)} cells for {len(header)} columns")
+        if skip_page:
+            cells = cells[1:]
+        values = tuple(
+            parse_value(name, cell, row=r) for name, cell in zip(feature_cols, cells[:-1]))
+        rows.append((values, parse_label(cells[-1], row=r)))
+    if not rows:
+        raise EmptyDataset("CSV contains a header but no data rows")
+    return Dataset(columns=tuple(feature_cols), rows=tuple(rows))
+
+
+def _csv_records(text: str):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tocdetect import cli, tree
+from tocdetect import cli, docmodel, tree
 from tocdetect.cli import load_feature_config, run
 from tocdetect.dataset import table1_csv_bytes
 from tocdetect.docmodel import write_document_xml
@@ -386,7 +386,7 @@ def test_piped_document_reads_as_the_file_does(tmp_path, model_file, command, da
 def test_document_read_error_names_the_path(tmp_path, model_file, capsys, monkeypatch, command):
     def fail(fh):
         raise OSError(errno.EIO, "Input/output error")
-    monkeypatch.setattr(cli.docmodel, "parse_document", fail)
+    monkeypatch.setattr(docmodel, "parse_document", fail)
     xml = tmp_path / "doc.xml"
     xml.write_bytes(MINIMAL_XML)
     argv = [command, *([str(model_file)] if command == "predict" else []), str(xml)]
@@ -528,14 +528,40 @@ def test_fixture_table1_byte_identical(tmp_path):
 def test_cli_import_leaves_out_xml_escaping():
     # only the debug writer escapes XML, and xml.sax.saxutils pulls in urllib.request and
     # http.client, so a fresh `import tocdetect.cli` must load none of them; the parser is
-    # pyexpat alone, so ElementTree stays out too
+    # pyexpat alone, so ElementTree stays out too. Only the commands that read a document load
+    # the parser (and with it logging), and only predict's scan_count needs fractions
     probe = ("import sys; bare = set(sys.modules); import tocdetect.cli; print(sorted("
-             "{'xml.sax.saxutils', 'urllib.request', 'http.client', 'xml.etree.ElementTree'}"
+             "{'xml.sax.saxutils', 'urllib.request', 'http.client', 'xml.etree.ElementTree',"
+             " 'tocdetect.docmodel', 'xml.parsers.expat', 'logging', 'fractions'}"
              " & (set(sys.modules) - bare)))")
     src = os.path.dirname(os.path.dirname(tree.__file__))
     result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_package_names_resolve_on_first_use():
+    # tocdetect imports its submodules only when one of its names is first read
+    probe = ("import tocdetect; learn = tocdetect.tree.learn; names = {}; "
+             "exec('from tocdetect import *', names); "
+             "print(learn is tocdetect.learn, sorted(set(tocdetect.__all__) - set(names)), "
+             "[n for n in tocdetect.__all__ if getattr(tocdetect, n) is not names[n]])")
+    src = os.path.dirname(os.path.dirname(tree.__file__))
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "True [] []\n"
+    import tocdetect
+    assert tocdetect.__all__ == [
+        "ClassLabel", "Dataset", "DetectionResult", "DocumentModel", "EvaluationReport",
+        "FeatureConfig", "FeatureVector", "Line", "Page", "Token", "TrainedModel", "best_split",
+        "classify", "detect", "entropy", "evaluate", "export_dot", "export_text",
+        "extract_features", "learn", "leave_one_out", "load_csv", "load_model", "parse_document",
+        "save_model", "table1_fixture", "write_csv", "write_feature_csv"]
+    for name in tocdetect.__all__:  # each name is the object its home module defines
+        home = getattr(tocdetect, tocdetect._HOMES[name])
+        assert getattr(tocdetect, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        tocdetect.nope
 
 
 def test_usage_error_exit_1(capsys):

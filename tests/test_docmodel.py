@@ -390,14 +390,28 @@ class _Trickle:
         return chunk
 
 
+@st.composite
+def _utf16_documents(draw):
+    # junk after the root element whose characters hold a 3E byte in either half, so a '>'
+    # byte may start or end a character, or pair with the next character's 00 byte
+    codec, bom = draw(st.sampled_from([("utf-16-be", codecs.BOM_UTF16_BE),
+                                       ("utf-16-le", codecs.BOM_UTF16_LE)]))
+    junk = draw(st.text(st.sampled_from("ab=> \u3e00\u3e41\u413e\u4100\u0100"), max_size=6))
+    text = (draw(st.sampled_from(['<?xml version="1.0" encoding="UTF-16"?>', ""]))
+            + write_document_xml(draw(_documents())).decode() + junk)
+    return draw(st.sampled_from([bom, b""])) + text.encode(codec)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_mutated_documents(), _documents().map(write_document_xml)),
+@given(st.one_of(_mutated_documents(), _documents().map(write_document_xml), _utf16_documents()),
        st.lists(st.integers(1, 7), min_size=1, max_size=8))
 @example(codecs.BOM_UTF8 + MINIMAL, [1])  # the BOM comes in three reads
 @example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + MINIMAL, [2])
 @example(_one_token("<token>caf\u00e9 &amp; \u4e2d&#x4e2d;</token>"), [1])
 @example(_one_token('<token bold="yes">x</token>') + b"\x00", [7])  # the malformed byte wins
 @example(MINIMAL + b'size="nan" ', [1])  # a name cut short after the root element
+# a name after the root element holds 00 3E at an odd offset: half of U+0100, half of U+3E00
+@example(codecs.BOM_UTF16_BE + (MINIMAL.decode() + "ab\u0100\u3e00c=").encode("utf-16-be"), [2])
 def test_file_input_matches_bytes_input(data, sizes):
     # read boundaries fall inside names, entities, multi-byte characters and a leading BOM
     assert (_outcome(lambda data: parse_document(_Trickle(data, sizes)), data)

@@ -13,11 +13,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tocdetect.cli import run
-from tocdetect.dataset import load_csv
+from tocdetect.dataset import load_csv, table1_csv_bytes
 from tocdetect.docmodel import parse_document
 from tocdetect.errors import TocDetectError
 from tocdetect.schema import CANONICAL_COLUMNS
 from tocdetect.tree import load_model, save_model
+
+from helpers import reference_load_csv
 
 GOLDEN_MODEL = (Path(__file__).parent / "goldens" / "table1_model.json").read_bytes()
 
@@ -102,11 +104,20 @@ def test_parse_document_arbitrary_bytes(data):
 
 @_fuzz
 @given(_bytes_or_splice(_CSV))
+@example(table1_csv_bytes())
+@example(b"section_term_frequency,label\n1.5,TOC\nabc,TOC\n")  # a parse error after a range error
+@example(b"section_term_frequency,contextual_term_count,label\n0.5,-1,TOC\n1.5,-2,TOC\n")
+@example(b"contextual_term_count,section_term_frequency,label\n1,0.5,TOC\n0.5,1,TOC\n")
 def test_load_csv_arbitrary_bytes(data):
+    # the same Dataset, or the same error, as parsing every cell and then checking every value
+    assert _csv_outcome(load_csv, data) == _csv_outcome(reference_load_csv, data)
+
+
+def _csv_outcome(load, data):
     try:
-        load_csv(data)
-    except TocDetectError:
-        pass
+        return repr(load(data))  # not ==: 1 == 1.0 == True, but they are different cell values
+    except TocDetectError as exc:
+        return type(exc), str(exc)
 
 
 @_fuzz

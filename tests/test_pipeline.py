@@ -1,14 +1,15 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tocdetect import schema
+from tocdetect import schema, tree
 from tocdetect.dataset import Dataset, load_csv, table1_fixture
 from tocdetect.docmodel import DocumentModel, Line, Page, Token, parse_document, write_document_xml
-from tocdetect.errors import ColumnMismatch, EmptyDataset
+from tocdetect.errors import ColumnMismatch, DatasetError, EmptyDataset
 from tocdetect.features import FeatureConfig, extract_features, write_feature_csv
 from tocdetect.pipeline import (
     DetectionResult,
@@ -266,6 +267,71 @@ def test_evaluate_and_loo_match_the_public_classify(train_test_limits):
         fold_model = learn(rest, **limits)
         folds.append((gold, classify(fold_model, dict(zip(train.columns, values)))[0]))
     assert leave_one_out(train, **limits) == _tally_of(folds)
+
+
+# few values per column, so rows repeat, levels appear once, and a twin column ties every gain
+_LOO_VALUES = {
+    "contains_title_term": st.booleans(),
+    "title_term_font_class": st.sampled_from(["A", "B", "C", "D", "E", "F"]),
+    "contextual_term_count": st.integers(0, 9),
+    "section_term_frequency": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+}
+
+
+@st.composite
+def _loo_data(draw):
+    columns = draw(st.lists(st.sampled_from(sorted(_LOO_VALUES)), min_size=1, unique=True))
+    twin = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(2, 20))):
+        values = {c: draw(_LOO_VALUES[c]) for c in columns}
+        if twin:
+            values["outgoing_link_frequency"] = values.get("section_term_frequency", 0.5)
+        rows.append((tuple(values.values()), draw(st.sampled_from([TOC, NON]))))
+    names = tuple(columns) + (("outgoing_link_frequency",) if twin else ())
+    limits = draw(st.fixed_dictionaries({}, optional={
+        "max_depth": st.integers(1, 5), "min_rows": st.integers(1, 4)}))
+    return Dataset(columns=names, rows=tuple(rows)), limits
+
+
+def _loo_reference(data, max_depth=None, min_rows=1):
+    """Learn every fold's whole tree and walk the held-out row; also the depth of the deepest
+    node that such a walk stops at."""
+    pairs, deepest = [], 0
+    for i, (values, gold) in enumerate(data.rows):
+        fold = Dataset(columns=data.columns, rows=data.rows[:i] + data.rows[i + 1:])
+        node = learn(fold, max_depth=max_depth, min_rows=min_rows).root
+        vector = dict(zip(data.columns, values))
+        pairs.append((gold, tree._walk(node, vector)[0]))
+        depth = 0
+        while node.branches:
+            key = vector[node.feature]
+            key = key if node.threshold is None else key <= node.threshold
+            if key not in node.branches:
+                break
+            node, depth = node.branches[key], depth + 1
+        deepest = max(deepest, depth)
+    return _tally_of(pairs), deepest
+
+
+_CHAIN = Dataset(columns=("contextual_term_count",),
+                 rows=tuple(((i,), TOC if i % 2 else NON) for i in range(9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loo_data())
+@example((_CHAIN, {}))  # chains: held-out rows stop at depths 1 to 7
+def test_loo_matches_learning_every_fold(data_limits):
+    data, limits = data_limits
+    expected, deepest = _loo_reference(data, **limits)
+    assert leave_one_out(data, **limits) == expected
+    # with a lower depth limit, a fold fails only where its held-out row's walk passes it
+    with mock.patch.object(tree, "MAX_TREE_DEPTH", 3):
+        if deepest > 3:
+            with pytest.raises(DatasetError, match="tree deeper than 3 levels"):
+                leave_one_out(data, **limits)
+        else:
+            assert leave_one_out(data, **limits) == expected
 
 
 # -- the train/predict contract ------------------------------------------------------
