@@ -30,3 +30,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
     return value
+
+
+def __dir__():  # the lazy names too, before any is first read
+    return sorted({*globals(), *__all__, *_NAMES})

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage errors, 2 data errors (XML/CSV/features) and
 I/O errors, 3 model-file errors. Output files are written atomically (temp +
-rename); all outputs are deterministic for identical inputs and flags.
+rename, at a symlink's target); a device or FIFO is written in place. All
+outputs are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -163,14 +164,20 @@ def _write_output(payload: bytes, out_path: str | None):
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return
-    tmp = os.path.join(os.path.dirname(os.path.abspath(out_path)), f".tocdetect-{os.urandom(8).hex()}")
     try:
+        # a device or FIFO takes the bytes in place: renaming over it would replace it
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+            return
+        target = os.path.realpath(out_path)  # replace a symlink's target, not the link
+        tmp = os.path.join(os.path.dirname(target), f".tocdetect-{os.urandom(8).hex()}")
         # as open(path, "wb") does: the kernel takes the umask off 0666, so no umask is read
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
-            os.replace(tmp, out_path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

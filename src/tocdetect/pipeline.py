@@ -19,7 +19,7 @@ from .dataset import Dataset
 from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
 from .schema import ClassLabel
-from .tree import TrainedModel, _check_limits, _path_label, _walk, classify
+from .tree import TrainedModel, _build, _check_limits, _walk, classify
 
 if TYPE_CHECKING:
     from .docmodel import DocumentModel
@@ -173,6 +173,6 @@ def leave_one_out(
         raise EmptyDataset("leave-one-out needs at least 2 rows")
     _check_limits(max_depth, min_rows)
     rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
-    return _tally((gold, _path_label(rows[:i] + rows[i + 1:], data.columns, vector,
-                                     max_depth, min_rows))
+    return _tally((gold, _walk(_build(rows[:i] + rows[i + 1:], data.columns, 0, max_depth,
+                                      min_rows, vector), vector)[0])
                   for i, (vector, gold) in enumerate(rows))

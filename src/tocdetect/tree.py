@@ -11,11 +11,11 @@ Every node is one Node: its counts and, for a split, its feature, threshold
 branches. A numeric split's keys are True (value <= threshold) and False; a
 categorical split's keys are its normalized values, in serialized value order.
 
-One rule set (_split) decides where a node stops and how it splits, both for
-learn, which grows every node, and for leave-one-out, which grows only the
-nodes on the held-out row's path (_path_label): the label that path reaches
-is all a fold needs. A node deeper than MAX_TREE_DEPTH is a DatasetError in
-either, so leave-one-out fails only where a held-out row's path passes it.
+One grower (_build) makes every tree. learn grows every node; leave-one-out
+tells it to follow the held-out row, so it grows only the nodes _walk visits
+for that row: the label that path reaches is all a fold needs. A node deeper
+than MAX_TREE_DEPTH is a DatasetError in either, so leave-one-out fails only
+where a held-out row's path passes it.
 """
 
 from __future__ import annotations
@@ -156,49 +156,30 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
     return best
 
 
-def _split(rows, counts, available, depth, max_depth, min_rows) -> Optional[SplitCandidate]:
-    """The split _build makes at a node of rows at depth, or None where the node is a leaf.
+def _build(rows, available, depth, max_depth, min_rows, only=None) -> Node:
+    """The subtree learn grows from rows at depth. Given only, a row's checked values, it grows
+    just the nodes _walk visits for that row: at each split, that row's branch, or none where
+    no row here has the row's level.
 
     Raises DatasetError at a node deeper than MAX_TREE_DEPTH, leaf or not."""
     if depth > MAX_TREE_DEPTH:
         raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
-    if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
-        return None
-    return best_split(rows, available)
-
-
-def _build(rows, available, depth, max_depth, min_rows) -> Node:
     counts = _count(rows)
-    cand = _split(rows, counts, available, depth, max_depth, min_rows)
+    if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
+        return Node(counts)
+    cand = best_split(rows, available)
     if cand is None:
         return Node(counts)
     if cand.threshold is None:  # every row below a categorical split shares its value
         available = [c for c in available if c != cand.feature]
-    branches = {
-        key: _build(group, available, depth + 1, max_depth, min_rows)
-        for key, group in _groups(rows, cand.feature, cand.threshold).items()
-    }
-    return Node(counts, cand.feature, cand.threshold, branches)
-
-
-def _path_label(rows, columns, values, max_depth, min_rows) -> ClassLabel:
-    """_walk(learned root, values)[0] for the tree learned from rows, found by growing only the
-    nodes that walk visits. DatasetError only where the walk passes MAX_TREE_DEPTH."""
-    available, depth = list(columns), 0
-    while True:
-        counts = _count(rows)
-        cand = _split(rows, counts, available, depth, max_depth, min_rows)
-        if cand is None:
-            break
-        value = values[cand.feature]
+    groups = _groups(rows, cand.feature, cand.threshold)
+    if only is not None:
+        value = only[cand.feature]
         key = value if cand.threshold is None else value <= cand.threshold
-        groups = _groups(rows, cand.feature, cand.threshold)
-        if key not in groups:  # a level no row here has: _walk stops at this node
-            break
-        if cand.threshold is None:
-            available = [c for c in available if c != cand.feature]
-        rows, depth = groups[key], depth + 1
-    return Node(counts).label
+        groups = {key: groups[key]} if key in groups else {}
+    branches = {key: _build(group, available, depth + 1, max_depth, min_rows, only)
+                for key, group in groups.items()}
+    return Node(counts, cand.feature, cand.threshold, branches)
 
 
 def _check_limits(max_depth, min_rows):

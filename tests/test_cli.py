@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -225,6 +226,33 @@ def test_out_file_mode_reads_no_umask(tmp_path, monkeypatch):
         os.umask(old)
     assert (tmp_path / "t1.csv").stat().st_mode & 0o777 == 0o644
     assert [p for p in os.listdir(tmp_path) if p.startswith(".tocdetect-")] == []
+
+
+def test_out_fifo_is_written_not_replaced(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        assert run(["fixture", "--table1", "--out", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == table1_csv_bytes()
+    finally:
+        os.close(reader)
+    assert os.listdir(tmp_path) == ["pipe"]  # no temp file left behind
+
+
+def test_out_symlink_target_is_replaced(tmp_path):
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "t1.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "real" / "new.csv")
+    for path in (link, dangling):
+        assert run(["fixture", "--table1", "--out", str(path)]) == 0
+        assert path.is_symlink() and path.read_bytes() == table1_csv_bytes()
+    assert sorted(os.listdir(tmp_path / "real")) == ["new.csv", "t1.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["dangling.csv", "link.csv", "real"]
 
 
 def test_train_is_deterministic(tmp_path, fixture_csv):
@@ -542,14 +570,17 @@ def test_cli_import_leaves_out_xml_escaping():
 
 def test_package_names_resolve_on_first_use():
     # tocdetect imports its submodules only when one of its names is first read
-    probe = ("import tocdetect; learn = tocdetect.tree.learn; names = {}; "
+    # dir() lists every public name and submodule before any of them is read
+    probe = ("import tocdetect; "
+             "print(sorted({*tocdetect.__all__, *tocdetect._NAMES} - set(dir(tocdetect)))); "
+             "learn = tocdetect.tree.learn; names = {}; "
              "exec('from tocdetect import *', names); "
              "print(learn is tocdetect.learn, sorted(set(tocdetect.__all__) - set(names)), "
              "[n for n in tocdetect.__all__ if getattr(tocdetect, n) is not names[n]])")
     src = os.path.dirname(os.path.dirname(tree.__file__))
     result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "True [] []\n"
+    assert result.stdout == "[]\nTrue [] []\n"
     import tocdetect
     assert tocdetect.__all__ == [
         "ClassLabel", "Dataset", "DetectionResult", "DocumentModel", "EvaluationReport",

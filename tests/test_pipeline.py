@@ -334,6 +334,13 @@ def test_loo_matches_learning_every_fold(data_limits):
             assert leave_one_out(data, **limits) == expected
 
 
+def test_loo_grows_only_the_held_out_rows_paths():
+    # growing each fold's whole tree calls best_split 56 times on the chain; learn calls it 8
+    with mock.patch.object(tree, "best_split", wraps=tree.best_split) as spy:
+        leave_one_out(_CHAIN)
+    assert spy.call_count == 28
+
+
 # -- the train/predict contract ------------------------------------------------------
 
 # fonts that normalize alike, need CSV or XML quoting, or change length under case mapping
