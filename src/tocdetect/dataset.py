@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 from . import schema
 from .errors import (
@@ -21,33 +20,33 @@ from .errors import (
     MissingLabelColumn,
     UnknownColumn,
 )
+from .record import Frozen
 from .schema import ClassLabel
 
 
-@dataclass(frozen=True)
-class Dataset:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[tuple, ClassLabel], ...]  # (values as check_value returns them, label)
+class Dataset(Frozen):
+    _fields = ("columns", "rows")
 
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, columns: tuple[str, ...],
+                 rows: tuple[tuple[tuple, ClassLabel], ...]):  # (values, label) pairs
+        if not columns:
             raise UnknownColumn("dataset has no feature columns")
         seen = set()
-        for name in self.columns:
+        for name in columns:
             if name not in schema.CANONICAL_COLUMNS:
                 raise UnknownColumn(f"not a canonical feature column: {name!r}")
             if name in seen:
                 raise UnknownColumn(f"duplicate column: {name!r}")
             seen.add(name)
-        rows = []
-        for r, (values, label) in enumerate(self.rows, start=1):
-            if len(values) != len(self.columns):
-                raise UnknownColumn(f"row {r} has {len(values)} values for {len(self.columns)} columns")
+        checked = []
+        for r, (values, label) in enumerate(rows, start=1):
+            if len(values) != len(columns):
+                raise UnknownColumn(f"row {r} has {len(values)} values for {len(columns)} columns")
             if not isinstance(label, ClassLabel):
                 raise DataTypeError(f"expected a ClassLabel, got {label!r}", row=r, column="label")
-            values = tuple(schema.check_value(n, v, row=r) for n, v in zip(self.columns, values))
-            rows.append((values, label))
-        object.__setattr__(self, "rows", tuple(rows))
+            values = tuple(schema.check_value(n, v, row=r) for n, v in zip(columns, values))
+            checked.append((values, label))
+        self._set(columns, tuple(checked))  # values as check_value returns them
 
 
 def _records(text: str):

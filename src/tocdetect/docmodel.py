@@ -35,10 +35,10 @@ import codecs
 import io
 import logging
 import math
-from dataclasses import dataclass
 from xml.parsers import expat
 
 from .errors import MalformedXml, SchemaViolation
+from .record import Frozen, Record
 from .schema import parse_number
 
 log = logging.getLogger(__name__)
@@ -50,36 +50,44 @@ _UTF16_GT = {codecs.BOM_UTF16_BE: b"\0>", b"\0<": b"\0>",
              codecs.BOM_UTF16_LE: b">\0", b"<\0": b">\0"}
 
 
-@dataclass(slots=True)
-class Token:
+class Token(Record):
     """One token; parse_document guarantees trimmed, non-empty text and a finite size >= 0.
 
     parse_document gives equal tokens of a document one shared object: do not mutate one.
     """
-    text: str
-    font_family: str = "unknown"
-    font_size: float = 0.0  # points; 0.0 means unknown
-    bold: bool = False
-    italic: bool = False
-    link_target: str | None = None
+    __slots__ = _fields = ("text", "font_family", "font_size", "bold", "italic", "link_target")
+
+    def __init__(self, text: str, font_family: str = "unknown", font_size: float = 0.0,
+                 bold: bool = False, italic: bool = False, link_target: str | None = None):
+        self.text = text
+        self.font_family = font_family
+        self.font_size = font_size  # points; 0.0 means unknown
+        self.bold = bold
+        self.italic = italic
+        self.link_target = link_target
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
-    tokens: tuple[Token, ...]
-    index: int  # zero-based position within the page
+class Line(Frozen):
+    __slots__ = _fields = ("tokens", "index")
+
+    def __init__(self, tokens: tuple[Token, ...], index: int):  # index: zero-based, in the page
+        object.__setattr__(self, "tokens", tokens)  # as _set does, unrolled: parsing builds many
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class Page:
-    index: int  # one-based page number
-    lines: tuple[Line, ...]
+class Page(Frozen):
+    __slots__ = _fields = ("index", "lines")
+
+    def __init__(self, index: int, lines: tuple[Line, ...]):  # index: one-based page number
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lines", lines)
 
 
-@dataclass(frozen=True)
-class DocumentModel:
-    id: str
-    pages: tuple[Page, ...]
+class DocumentModel(Frozen):
+    _fields = ("id", "pages")
+
+    def __init__(self, id: str, pages: tuple[Page, ...]):
+        self._set(id, pages)
 
 
 def _et_name(name: str) -> str:

@@ -13,11 +13,11 @@ import csv
 import io
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import schema
 from .errors import MixedLabeling
+from .record import Frozen
 from .schema import ClassLabel
 
 if TYPE_CHECKING:  # a feature CSV is read without the XML parser
@@ -37,45 +37,45 @@ DEFAULT_SECTION_KEYWORDS = frozenset(
 _SECTION_NUMBER_RE = re.compile(r"\d+(\.\d+)*\.?$", re.ASCII)
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    title_terms: tuple[str, ...] = DEFAULT_TITLE_TERMS
-    section_keywords: frozenset[str] = DEFAULT_SECTION_KEYWORDS
-    max_page_number_digits: int = 4
+class FeatureConfig(Frozen):
+    _fields = ("title_terms", "section_keywords", "max_page_number_digits")
 
-    def __post_init__(self):
+    def __init__(self, title_terms: tuple[str, ...] = DEFAULT_TITLE_TERMS,
+                 section_keywords: frozenset[str] = DEFAULT_SECTION_KEYWORDS,
+                 max_page_number_digits: int = 4):
         # model files pass their JSON values straight in, so types are checked too
-        if not isinstance(self.title_terms, (list, tuple)):
-            raise ValueError(f"title_terms must be a list, got {self.title_terms!r}")
-        if not self.title_terms:
+        if not isinstance(title_terms, (list, tuple)):
+            raise ValueError(f"title_terms must be a list, got {title_terms!r}")
+        if not title_terms:
             raise ValueError("title_terms has no terms")
-        if not isinstance(self.section_keywords, (list, tuple, set, frozenset)):
-            raise ValueError(f"section_keywords must be a collection, got {self.section_keywords!r}")
-        for item in (*self.title_terms, *self.section_keywords):
+        if not isinstance(section_keywords, (list, tuple, set, frozenset)):
+            raise ValueError(f"section_keywords must be a collection, got {section_keywords!r}")
+        for item in (*title_terms, *section_keywords):
             if not isinstance(item, str) or not item.strip():
                 raise ValueError(f"title term or section keyword {item!r} must be a non-blank str")
-        if type(self.max_page_number_digits) is not int or self.max_page_number_digits < 1:
+        if type(max_page_number_digits) is not int or max_page_number_digits < 1:
             raise ValueError(
-                f"max_page_number_digits must be an int >= 1, got {self.max_page_number_digits!r}")
+                f"max_page_number_digits must be an int >= 1, got {max_page_number_digits!r}")
         # stored in the form extraction compares: lowercased words, and lowercased whole tokens
-        object.__setattr__(self, "title_terms",
-                           tuple(" ".join(term.lower().split()) for term in self.title_terms))
-        object.__setattr__(self, "section_keywords",
-                           frozenset(keyword.strip().lower() for keyword in self.section_keywords))
+        self._set(tuple(" ".join(term.lower().split()) for term in title_terms),
+                  frozenset(keyword.strip().lower() for keyword in section_keywords),
+                  max_page_number_digits)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    contains_title_term: bool
-    title_term_style: str  # LARGEST | INTERMEDIATE | MOST_FREQUENT | NA
-    title_term_font_class: str
-    contextual_term_count: int
-    section_term_frequency: float
-    title_term_line_position: float
-    line_start_number_frequency: float
-    line_end_number_frequency: float
-    numbers_ascending: bool
-    outgoing_link_frequency: float
+class FeatureVector(Frozen):
+    """The ten feature values of a page; its fields are the canonical columns, in order."""
+    _fields = tuple(schema.CANONICAL_COLUMNS)
+
+    def __init__(self, contains_title_term: bool,
+                 title_term_style: str,  # LARGEST | INTERMEDIATE | MOST_FREQUENT | NA
+                 title_term_font_class: str, contextual_term_count: int,
+                 section_term_frequency: float, title_term_line_position: float,
+                 line_start_number_frequency: float, line_end_number_frequency: float,
+                 numbers_ascending: bool, outgoing_link_frequency: float):
+        self._set(contains_title_term, title_term_style, title_term_font_class,
+                  contextual_term_count, section_term_frequency, title_term_line_position,
+                  line_start_number_frequency, line_end_number_frequency, numbers_ascending,
+                  outgoing_link_frequency)
 
     def as_dict(self) -> dict:
         """Values keyed by canonical column name."""

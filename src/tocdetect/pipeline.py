@@ -12,25 +12,26 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dataset import Dataset
 from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
+from .record import Frozen
 from .schema import ClassLabel
-from .tree import TrainedModel, _build, _check_limits, _walk, classify
+from .tree import TrainedModel, _build, _check_limits, _Table, _walk, classify
 
 if TYPE_CHECKING:
     from .docmodel import DocumentModel
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    document_id: str
-    scanned_pages: tuple[int, ...]
-    toc_pages: tuple[tuple[int, tuple[int, int]], ...]  # (page index, leaf counts)
-    prefix_fraction: float
+class DetectionResult(Frozen):
+    _fields = ("document_id", "scanned_pages", "toc_pages", "prefix_fraction")
+
+    def __init__(self, document_id: str, scanned_pages: tuple[int, ...],
+                 toc_pages: tuple[tuple[int, tuple[int, int]], ...],  # (page index, leaf counts)
+                 prefix_fraction: float):
+        self._set(document_id, scanned_pages, toc_pages, prefix_fraction)
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,12 +58,11 @@ class DetectionResult:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class EvaluationReport(Frozen):
+    _fields = ("tp", "fp", "fn", "tn")
+
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        self._set(tp, fp, fn, tn)
 
     @property
     def total(self) -> int:
@@ -172,7 +172,9 @@ def leave_one_out(
     if len(data.rows) < 2:
         raise EmptyDataset("leave-one-out needs at least 2 rows")
     _check_limits(max_depth, min_rows)
+    table = _Table(data.columns, data.rows)  # the folds share it: a fold is its row positions
+    positions = list(range(len(data.rows)))
     rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
-    return _tally((gold, _walk(_build(rows[:i] + rows[i + 1:], data.columns, 0, max_depth,
-                                      min_rows, vector), vector)[0])
+    return _tally((gold, _walk(_build(table, positions[:i] + positions[i + 1:], data.columns, 0,
+                                      max_depth, min_rows, vector), vector)[0])
                   for i, (vector, gold) in enumerate(rows))

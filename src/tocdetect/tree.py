@@ -16,6 +16,12 @@ tells it to follow the held-out row, so it grows only the nodes _walk visits
 for that row: the label that path reaches is all a fold needs. A node deeper
 than MAX_TREE_DEPTH is a DatasetError in either, so leave-one-out fails only
 where a held-out row's path passes it.
+
+The grower works column-wise, as SLIQ does: a _Table holds each column's
+values as one list, a node is its rows' positions (so leave-one-out's folds
+share one table), and _search finds a node's split from those lists with
+C-level passes rather than a loop per candidate. best_split is _search on a
+table of the rows it is given.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import accumulate
+from collections import Counter
+from itertools import repeat
+from operator import add, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from . import schema
@@ -37,6 +44,7 @@ from .errors import (
 )
 from .dataset import Dataset
 from .features import FeatureConfig
+from .record import Frozen
 from .schema import ClassLabel
 
 Counts = tuple[int, int]  # (n_TOC, n_NON_TOC)
@@ -47,12 +55,14 @@ Counts = tuple[int, int]  # (n_TOC, n_NON_TOC)
 MAX_TREE_DEPTH = 256
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
-    counts: Counts  # class counts of the training rows that reached this node
-    feature: Optional[str] = None
-    threshold: Optional[float] = None  # None for a leaf or a categorical split
-    branches: dict = field(default_factory=dict)  # key -> Node; empty for a leaf
+class Node(Frozen):
+    _fields = ("counts", "feature", "threshold", "branches")
+
+    def __init__(self, counts: Counts,  # class counts of the training rows that reached it
+                 feature: Optional[str] = None,
+                 threshold: Optional[float] = None,  # None for a leaf or a categorical split
+                 branches: Optional[dict] = None):  # key -> Node; empty (the default) for a leaf
+        self._set(counts, feature, threshold, {} if branches is None else branches)
 
     @property
     def label(self) -> ClassLabel:
@@ -60,7 +70,7 @@ class Node:
         return ClassLabel.TOC if self.counts[0] >= self.counts[1] else ClassLabel.NON_TOC
 
     def __eq__(self, other):
-        # a loop: the generated __eq__ recurses through branches and overflows on deep trees
+        # a loop: comparing the fields would recurse through branches and overflow on deep trees
         if not isinstance(other, Node):
             return NotImplemented
         pending = [(self, other)]
@@ -73,18 +83,21 @@ class Node:
         return True
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    root: Node
-    columns: tuple[str, ...]
-    config_echo: FeatureConfig = field(default_factory=FeatureConfig)
+class TrainedModel(Frozen):
+    _fields = ("root", "columns", "config_echo")
+
+    def __init__(self, root: Node, columns: tuple[str, ...],
+                 config_echo: FeatureConfig = FeatureConfig()):
+        self._set(root, columns, config_echo)
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature: str
-    threshold: Optional[float]  # None for a categorical multiway split
-    gain: float
+class SplitCandidate(Frozen):
+    _fields = ("feature", "threshold", "gain")
+
+    def __init__(self, feature: str,
+                 threshold: Optional[float],  # None for a categorical multiway split
+                 gain: float):
+        self._set(feature, threshold, gain)
 
 
 def entropy(counts: Sequence[int]) -> float:
@@ -100,41 +113,74 @@ def entropy(counts: Sequence[int]) -> float:
     return result
 
 
-def _count(rows) -> Counts:
-    n_toc = sum(label is ClassLabel.TOC for _, label in rows)
-    return (n_toc, len(rows) - n_toc)
+class _Entropies(dict):
+    """(TOC rows, rows) of a group -> entropy of its class counts, each computed once."""
+
+    def __missing__(self, key):
+        toc, n = key
+        value = self[key] = entropy((toc, n - toc))
+        return value
 
 
-def _groups(rows, column, threshold):
-    """How a split divides rows, as its branch key -> rows: {True: value <= threshold,
-    False: value > threshold}, or for a categorical split (threshold None) value -> rows
-    in serialized value order."""
-    if threshold is not None:
-        return {True: [r for r in rows if r[0][column] <= threshold],
-                False: [r for r in rows if r[0][column] > threshold]}
-    groups = {}
-    for values, label in rows:
-        groups.setdefault(values[column], []).append((values, label))
-    # a fixed order, so row permutations cannot perturb the float gain summed over groups
-    return {v: groups[v] for v in sorted(groups, key=lambda v: schema.format_value(column, v))}
+class _Table:
+    """Rows as a tree grows from them: column -> value of each row, by position, and whether
+    each row is TOC. Nodes hold row positions, so leave-one-out's folds share one table."""
+
+    def __init__(self, columns, rows):
+        """columns: names; rows: (values in column order, ClassLabel) pairs."""
+        values = zip(*(values for values, _ in rows))
+        self.columns = {column: list(next(values, ())) for column in columns}
+        self.is_toc = [label is ClassLabel.TOC for _, label in rows]
+        self.entropies = _Entropies()
 
 
-def _candidates(rows, column):
-    """Yield (threshold or None, class counts of each group) for every split on column."""
-    if not schema.is_numeric(schema.CANONICAL_COLUMNS[column]):
-        groups = _groups(rows, column, None)
-        if len(groups) > 1:
-            yield None, [_count(g) for g in groups.values()]
-        return
-    ordered = sorted(rows, key=lambda r: r[0][column])
-    keys = [values[column] for values, _ in ordered]
-    tocs = list(accumulate((label is ClassLabel.TOC for _, label in ordered), initial=0))
-    distinct = sorted(set(keys))
-    for lo, hi in zip(distinct, distinct[1:]):
-        t = (lo + hi) / 2
-        n_le = bisect_right(keys, t)  # rows <= t, which include hi when t rounds up to it
-        gt_toc = tocs[-1] - tocs[n_le]
-        yield t, [(tocs[n_le], n_le - tocs[n_le]), (gt_toc, len(keys) - n_le - gt_toc)]
+def _search(table, rows, toc, columns) -> Optional[SplitCandidate]:
+    """best_split of the table's rows at positions rows, of which those at toc are TOC.
+
+    A categorical column's one candidate counts its levels' rows and TOC rows with two
+    Counters and sums the groups' weighted entropies in serialized value order. A numeric
+    column's cuts are the midpoints (lo + hi) / 2 of its sorted distinct values: bisecting the
+    node's sorted values, and its TOC rows', at every cut counts the rows <= it (hi's too, where
+    a cut rounds up to hi), and the gains, parent - (le + gt) with each side (n / total) *
+    entropy, the floats a sum over the two sides gives, come from C-level maps. A column's best
+    cut is its first highest gain: the smallest threshold among equal gains. Entropies are
+    memoized by count pair.
+    """
+    total, n_toc = len(rows), len(toc)
+    parent = entropy((n_toc, total - n_toc))
+    entropies = table.entropies
+    best = best_key = None
+    for column in columns:
+        value_of = table.columns[column].__getitem__
+        if not schema.is_numeric(schema.CANONICAL_COLUMNS[column]):
+            counts = Counter(map(value_of, rows))  # in first-seen row order
+            if len(counts) < 2:
+                continue
+            tocs = Counter(map(value_of, toc))
+            # a fixed order, so row permutations cannot perturb the float gain summed over groups
+            levels = sorted(counts, key=lambda v: schema.format_value(column, v))
+            gain = parent - sum(counts[v] / total * entropies[tocs[v], counts[v]] for v in levels)
+            threshold = None
+        else:
+            values = sorted(map(value_of, rows))
+            distinct = sorted(set(values))  # 1 and 1.0 are one value
+            if len(distinct) < 2:
+                continue
+            cuts = list(map(truediv, map(add, distinct, distinct[1:]), repeat(2)))  # (lo + hi) / 2
+            le_rows = list(map(bisect_right, repeat(values), cuts))
+            le_toc = list(map(bisect_right, repeat(sorted(map(value_of, toc))), cuts))
+            gt_rows = list(map(sub, repeat(total), le_rows))
+            le = map(mul, map(truediv, le_rows, repeat(total)),
+                     map(entropies.__getitem__, zip(le_toc, le_rows)))
+            gt = map(mul, map(truediv, gt_rows, repeat(total)),
+                     map(entropies.__getitem__, zip(map(sub, repeat(n_toc), le_toc), gt_rows)))
+            gains = list(map(sub, repeat(parent), map(add, le, gt)))
+            gain = max(gains)
+            threshold = cuts[gains.index(gain)]
+        key = (-gain, schema.canonical_index(column), -math.inf if threshold is None else threshold)
+        if gain > 0 and (best_key is None or key < best_key):
+            best, best_key = SplitCandidate(column, threshold, gain), key
+    return best
 
 
 def best_split(rows, columns) -> Optional[SplitCandidate]:
@@ -143,41 +189,50 @@ def best_split(rows, columns) -> Optional[SplitCandidate]:
     rows: sequence of (value mapping, ClassLabel). Ties break by canonical
     column order, then by smaller threshold.
     """
-    total = len(rows)
-    parent = entropy(_count(rows))
-    best = None
-    best_key = None
-    for column in columns:
-        for t, parts in _candidates(rows, column):
-            gain = parent - sum(sum(c) / total * entropy(c) for c in parts)
-            key = (-gain, schema.canonical_index(column), -math.inf if t is None else t)
-            if gain > 0 and (best_key is None or key < best_key):
-                best, best_key = SplitCandidate(column, t, gain), key
-    return best
+    table = _Table(columns, [(tuple(values[c] for c in columns), label) for values, label in rows])
+    positions = range(len(rows))
+    return _search(table, positions, list(filter(table.is_toc.__getitem__, positions)), columns)
 
 
-def _build(rows, available, depth, max_depth, min_rows, only=None) -> Node:
-    """The subtree learn grows from rows at depth. Given only, a row's checked values, it grows
-    just the nodes _walk visits for that row: at each split, that row's branch, or none where
-    no row here has the row's level.
+def _groups(table, rows, column, threshold):
+    """How a split divides rows (positions), as its branch key -> positions: {True: value <=
+    threshold, False: value > threshold}, or for a categorical split (threshold None) value ->
+    positions in serialized value order, the order _search summed them in."""
+    values = table.columns[column]
+    if threshold is not None:
+        return {True: [i for i in rows if values[i] <= threshold],
+                False: [i for i in rows if values[i] > threshold]}
+    groups = {}
+    for i in rows:
+        groups.setdefault(values[i], []).append(i)
+    return {v: groups[v] for v in sorted(groups, key=lambda v: schema.format_value(column, v))}
 
+
+def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Node:
+    """The subtree learn grows from the table's rows at positions rows, at depth. Given only,
+    a row's checked values, it grows just the nodes _walk visits for that row: at each split,
+    that row's branch, or none where no row here has the row's level.
+
+    Each node's split is _search's over the available columns, on the node's positions into
+    the table's column lists; a categorical split's column is not searched again below it.
     Raises DatasetError at a node deeper than MAX_TREE_DEPTH, leaf or not."""
     if depth > MAX_TREE_DEPTH:
         raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
-    counts = _count(rows)
+    toc = list(filter(table.is_toc.__getitem__, rows))
+    counts = (len(toc), len(rows) - len(toc))
     if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
         return Node(counts)
-    cand = best_split(rows, available)
+    cand = _search(table, rows, toc, available)
     if cand is None:
         return Node(counts)
     if cand.threshold is None:  # every row below a categorical split shares its value
         available = [c for c in available if c != cand.feature]
-    groups = _groups(rows, cand.feature, cand.threshold)
+    groups = _groups(table, rows, cand.feature, cand.threshold)
     if only is not None:
         value = only[cand.feature]
         key = value if cand.threshold is None else value <= cand.threshold
         groups = {key: groups[key]} if key in groups else {}
-    branches = {key: _build(group, available, depth + 1, max_depth, min_rows, only)
+    branches = {key: _build(table, group, available, depth + 1, max_depth, min_rows, only)
                 for key, group in groups.items()}
     return Node(counts, cand.feature, cand.threshold, branches)
 
@@ -203,8 +258,8 @@ def learn(
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
     _check_limits(max_depth, min_rows)
-    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
-    root = _build(rows, list(data.columns), 0, max_depth, min_rows)
+    table = _Table(data.columns, data.rows)
+    root = _build(table, list(range(len(data.rows))), list(data.columns), 0, max_depth, min_rows)
     config = config or FeatureConfig()
     return TrainedModel(root=root, columns=tuple(data.columns), config_echo=config)
 

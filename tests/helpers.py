@@ -6,6 +6,9 @@ import io
 import logging
 import math
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 
 from tocdetect.dataset import Dataset
 from tocdetect.docmodel import DocumentModel, Line, Page, Token
@@ -17,11 +20,15 @@ from tocdetect.errors import (
     SchemaViolation,
     UnknownColumn,
 )
+from tocdetect import tree
+from tocdetect.pipeline import EvaluationReport
 from tocdetect.schema import (
     CANONICAL_COLUMNS,
+    ClassLabel,
     Kind,
     canonical_index,
     format_value,
+    is_numeric,
     parse_label,
     parse_number,
     parse_value,
@@ -371,3 +378,92 @@ def _csv_records(text: str):
         yield from reader
     except csv.Error as exc:
         raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
+
+
+# -- the row-dict grower that tree._build and tree._search replaced, kept as their reference --
+
+def _count(rows):
+    n_toc = sum(label is ClassLabel.TOC for _, label in rows)
+    return (n_toc, len(rows) - n_toc)
+
+
+def _reference_groups(rows, column, threshold):
+    if threshold is not None:
+        return {True: [r for r in rows if r[0][column] <= threshold],
+                False: [r for r in rows if r[0][column] > threshold]}
+    groups = {}
+    for values, label in rows:
+        groups.setdefault(values[column], []).append((values, label))
+    return {v: groups[v] for v in sorted(groups, key=lambda v: format_value(column, v))}
+
+
+def _reference_candidates(rows, column):
+    if not is_numeric(CANONICAL_COLUMNS[column]):
+        groups = _reference_groups(rows, column, None)
+        if len(groups) > 1:
+            yield None, [_count(g) for g in groups.values()]
+        return
+    ordered = sorted(rows, key=lambda r: r[0][column])
+    keys = [values[column] for values, _ in ordered]
+    tocs = list(accumulate((label is ClassLabel.TOC for _, label in ordered), initial=0))
+    distinct = sorted(set(keys))
+    for lo, hi in zip(distinct, distinct[1:]):
+        t = (lo + hi) / 2
+        n_le = bisect_right(keys, t)  # rows <= t, which include hi when t rounds up to it
+        gt_toc = tocs[-1] - tocs[n_le]
+        yield t, [(tocs[n_le], n_le - tocs[n_le]), (gt_toc, len(keys) - n_le - gt_toc)]
+
+
+def reference_best_split(rows, columns):
+    """tree.best_split as a loop over every candidate of rows of (value dict, label)."""
+    total = len(rows)
+    parent = tree.entropy(_count(rows))
+    best = None
+    best_key = None
+    for column in columns:
+        for t, parts in _reference_candidates(rows, column):
+            gain = parent - sum(sum(c) / total * tree.entropy(c) for c in parts)
+            key = (-gain, canonical_index(column), -math.inf if t is None else t)
+            if gain > 0 and (best_key is None or key < best_key):
+                best, best_key = tree.SplitCandidate(column, t, gain), key
+    return best
+
+
+def _reference_build(rows, available, depth, max_depth, min_rows, only=None):
+    if depth > tree.MAX_TREE_DEPTH:
+        raise DatasetError(f"tree deeper than {tree.MAX_TREE_DEPTH} levels; "
+                           "limit it with max_depth")
+    counts = _count(rows)
+    if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
+        return tree.Node(counts)
+    cand = reference_best_split(rows, available)
+    if cand is None:
+        return tree.Node(counts)
+    if cand.threshold is None:
+        available = [c for c in available if c != cand.feature]
+    groups = _reference_groups(rows, cand.feature, cand.threshold)
+    if only is not None:
+        value = only[cand.feature]
+        key = value if cand.threshold is None else value <= cand.threshold
+        groups = {key: groups[key]} if key in groups else {}
+    branches = {key: _reference_build(group, available, depth + 1, max_depth, min_rows, only)
+                for key, group in groups.items()}
+    return tree.Node(counts, cand.feature, cand.threshold, branches)
+
+
+def reference_learn(data, max_depth=None, min_rows=1):
+    """The root tree.learn grows, from row dicts, as before the grower took column lists."""
+    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
+    return _reference_build(rows, list(data.columns), 0, max_depth, min_rows)
+
+
+def reference_leave_one_out(data, max_depth=None, min_rows=1):
+    """pipeline.leave_one_out on row dicts: each fold grows the held-out row's path only."""
+    rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
+    tally = Counter(
+        (gold, tree._walk(_reference_build(rows[:i] + rows[i + 1:], data.columns, 0, max_depth,
+                                           min_rows, vector), vector)[0])
+        for i, (vector, gold) in enumerate(rows))
+    toc, non = ClassLabel.TOC, ClassLabel.NON_TOC
+    return EvaluationReport(tp=tally[toc, toc], fp=tally[non, toc], fn=tally[toc, non],
+                            tn=tally[non, non])

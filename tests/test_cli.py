@@ -568,6 +568,18 @@ def test_cli_import_leaves_out_xml_escaping():
     assert result.stdout == "[]\n"
 
 
+def test_no_module_imports_dataclasses_or_inspect():
+    # the record classes are plain classes: defining them loads neither module, and
+    # dataclasses (with the inspect it imports) was the largest import left in a command
+    probe = ("import sys; bare = set(sys.modules); "
+             "import tocdetect.cli, tocdetect.pipeline, tocdetect.docmodel; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    src = os.path.dirname(os.path.dirname(tree.__file__))
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_package_names_resolve_on_first_use():
     # tocdetect imports its submodules only when one of its names is first read
     # dir() lists every public name and submodule before any of them is read

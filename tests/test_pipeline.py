@@ -335,8 +335,8 @@ def test_loo_matches_learning_every_fold(data_limits):
 
 
 def test_loo_grows_only_the_held_out_rows_paths():
-    # growing each fold's whole tree calls best_split 56 times on the chain; learn calls it 8
-    with mock.patch.object(tree, "best_split", wraps=tree.best_split) as spy:
+    # growing each fold's whole tree searches 56 nodes' splits on the chain; learn searches 8
+    with mock.patch.object(tree, "_search", wraps=tree._search) as spy:
         leave_one_out(_CHAIN)
     assert spy.call_count == 28
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tocdetect import tree
 from tocdetect.dataset import Dataset, table1_fixture
@@ -14,6 +16,7 @@ from tocdetect.errors import (
     MissingFeature,
     UnsupportedVersion,
 )
+from tocdetect.pipeline import leave_one_out
 from tocdetect.schema import ClassLabel
 from tocdetect.tree import (
     Node,
@@ -28,7 +31,13 @@ from tocdetect.tree import (
     save_model,
 )
 
-from helpers import brute_force_best_split, route_json_tree
+from helpers import (
+    brute_force_best_split,
+    reference_best_split,
+    reference_learn,
+    reference_leave_one_out,
+    route_json_tree,
+)
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 
@@ -452,6 +461,103 @@ def test_best_split_matches_brute_force(cols_rows):
         assert cand.feature == oracle[0]
         assert cand.threshold == oracle[1]
         assert cand.gain == pytest.approx(oracle[2], abs=1e-9)
+
+
+# -- the column-list grower against the row-dict grower it replaced -------------------------
+
+_UP = math.nextafter(1.0, 2.0)
+_HALF_UP = math.nextafter(0.5, 1.0)
+
+
+@pytest.mark.parametrize("column, values", [
+    # the cut between 1.0 and _UP rounds down to 1.0; the next cut rounds up to its upper value
+    ("outgoing_link_frequency", [1.0, _UP, math.nextafter(_UP, 2.0)]),
+    # serialized order (A, A_B, A_B, B) is not sorted order; a-b and A_B are two groups
+    ("title_term_font_class", ["a", "B", "a-b", "A_B"]),
+], ids=["cut-rounds-to-either-side", "raw-levels"])
+def test_best_split_matches_the_row_dict_reference_on_raw_values(column, values):
+    for labels in itertools.product([TOC, NON], repeat=2 * len(values)):
+        rows = [({column: v}, label) for v, label in zip(values * 2, labels)]
+        assert best_split(rows, [column]) == reference_best_split(rows, [column])
+
+
+def test_categorical_gain_sums_groups_in_serialized_order():
+    # before Python 3.12, whose sum compensates, these groups' weighted entropies sum to
+    # another float in sorted order (A_B, B, a, a-b) than in serialized order
+    counts = {"a": (2, 4), "B": (0, 3), "a-b": (4, 2), "A_B": (1, 1)}
+    rows = [({"title_term_font_class": v}, label) for v, (toc, non) in counts.items()
+            for label in [TOC] * toc + [NON] * non]
+    columns = ["title_term_font_class"]
+    assert best_split(rows, columns) == reference_best_split(rows, columns)
+
+
+_GROWER_VALUES = {
+    "contains_title_term": st.booleans(),
+    "title_term_style": st.sampled_from(["LARGEST", "INTERMEDIATE", "MOST_FREQUENT", "NA"]),
+    "title_term_font_class": st.sampled_from(["A", "B_C", "TIMES"]),
+    "contextual_term_count": st.integers(0, 5) | st.sampled_from([2**53 - 1, 2**53]),
+    "section_term_frequency": st.sampled_from([0, 0.0, 0.25, 0.5, 1, 1.0]),
+    "outgoing_link_frequency": _EIGHTHS | _NEAR_HALF,
+    "line_end_number_frequency": st.floats(0, 1),
+}
+
+
+@st.composite
+def _grower_data(draw):
+    columns = draw(st.lists(st.sampled_from(sorted(_GROWER_VALUES)), min_size=1, unique=True))
+    twins = draw(st.booleans())  # twin columns split alike, so their gains tie
+    rows = []
+    for _ in range(draw(st.integers(2, 24))):
+        values = {c: draw(_GROWER_VALUES[c]) for c in columns}
+        if twins:
+            values["numbers_ascending"] = values.get("contains_title_term", False)
+            values["title_term_line_position"] = values.get("section_term_frequency", 0.5)
+        rows.append((tuple(values.values()), draw(st.sampled_from([TOC, NON]))))
+    limits = draw(st.fixed_dictionaries({}, optional={
+        "max_depth": st.integers(1, 5), "min_rows": st.integers(1, 4)}))
+    return Dataset(columns=tuple(values), rows=tuple(rows)), limits
+
+
+def _outcome(grow):
+    try:
+        return grow()
+    except DatasetError as exc:  # too deep
+        return str(exc)
+
+
+def _grower_example(column, values, labels, other=None):
+    """A dataset of one column, or of two where other names a twin of the first."""
+    columns = (column,) if other is None else (column, other)
+    rows = tuple(((v,) * len(columns), label) for v, label in zip(values, labels))
+    return Dataset(columns=columns, rows=rows), {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grower_data())
+@example(_grower_example("section_term_frequency", [0, 0.0, 0.5, 0.0, 1, 0.5],
+                         [TOC, NON, TOC, TOC, NON, NON]))  # 0 and 0.0 are one value
+@example(_grower_example("outgoing_link_frequency",  # the cut rounds up to the upper value
+                         [_HALF_UP, math.nextafter(_HALF_UP, 1.0), 0.0, _HALF_UP],
+                         [TOC, NON, TOC, NON]))
+@example(_grower_example("outgoing_link_frequency", [0.0, 0.25, 0.5, 0.75, 1.0],
+                         [TOC, TOC, NON, TOC, NON], other="section_term_frequency"))
+@example(_grower_example("contains_title_term", [True, False, True, False],
+                         [TOC, NON, NON, NON], other="numbers_ascending"))
+def test_grower_matches_the_row_dict_reference(data_limits):
+    data, limits = data_limits
+    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
+    assert best_split(rows, data.columns) == reference_best_split(rows, data.columns)
+    root, expected = learn(data, **limits).root, reference_learn(data, **limits)
+    assert root == expected
+    # and branch order and threshold reprs too
+    assert save_model(TrainedModel(root, data.columns)) == save_model(
+        TrainedModel(expected, data.columns))
+    assert leave_one_out(data, **limits) == reference_leave_one_out(data, **limits)
+    with mock.patch.object(tree, "MAX_TREE_DEPTH", 3):
+        assert (_outcome(lambda: learn(data, **limits).root)
+                == _outcome(lambda: reference_learn(data, **limits)))
+        assert (_outcome(lambda: leave_one_out(data, **limits))
+                == _outcome(lambda: reference_leave_one_out(data, **limits)))
 
 
 _FONTS = ["Times New Roman", "times-new roman", "Arial", "Courier"]
