@@ -12,8 +12,8 @@ _NAMES = {  # submodule -> the public names it defines
     "features": ("FeatureConfig", "FeatureVector", "extract_features", "write_feature_csv"),
     "pipeline": ("DetectionResult", "EvaluationReport", "detect", "evaluate", "leave_one_out"),
     "schema": ("ClassLabel",),
-    "tree": ("TrainedModel", "best_split", "classify", "entropy", "export_dot", "export_text",
-             "learn", "load_model", "save_model"),
+    "tree": ("TrainedModel", "classify", "entropy", "export_dot", "export_text", "learn",
+             "load_model", "save_model"),
     "errors": (),
 }
 _HOMES = {name: module for module, names in _NAMES.items() for name in names}

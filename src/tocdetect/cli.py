@@ -195,8 +195,11 @@ def _read_model(path: str) -> tree.TrainedModel:
 
 
 def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:  # a read error names the user's path, as an open error does
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _read_document(path: str):

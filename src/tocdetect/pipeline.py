@@ -172,9 +172,8 @@ def leave_one_out(
     if len(data.rows) < 2:
         raise EmptyDataset("leave-one-out needs at least 2 rows")
     _check_limits(max_depth, min_rows)
-    table = _Table(data.columns, data.rows)  # the folds share it: a fold is its row positions
+    table = _Table(data)  # the folds share it: a fold is its row positions
     positions = list(range(len(data.rows)))
-    rows = [(dict(zip(data.columns, values)), gold) for values, gold in data.rows]
-    return _tally((gold, _walk(_build(table, positions[:i] + positions[i + 1:], data.columns, 0,
-                                      max_depth, min_rows, vector), vector)[0])
-                  for i, (vector, gold) in enumerate(rows))
+    return _tally((gold, _build(table, positions[:i] + positions[i + 1:], data.columns, 0,
+                                max_depth, min_rows, only=i).label)
+                  for i, (_, gold) in enumerate(data.rows))

@@ -12,16 +12,15 @@ branches. A numeric split's keys are True (value <= threshold) and False; a
 categorical split's keys are its normalized values, in serialized value order.
 
 One grower (_build) makes every tree. learn grows every node; leave-one-out
-tells it to follow the held-out row, so it grows only the nodes _walk visits
-for that row: the label that path reaches is all a fold needs. A node deeper
+tells it which row is held out, so it grows only that row's path and returns
+the node where the path ends: its label is all a fold needs. A node deeper
 than MAX_TREE_DEPTH is a DatasetError in either, so leave-one-out fails only
 where a held-out row's path passes it.
 
 The grower works column-wise, as SLIQ does: a _Table holds each column's
-values as one list, a node is its rows' positions (so leave-one-out's folds
-share one table), and _search finds a node's split from those lists with
-C-level passes rather than a loop per candidate. best_split is _search on a
-table of the rows it is given.
+checked values as one list, a node is its rows' positions (so leave-one-out's
+folds share one table), and _search finds a node's split from those lists with
+C-level passes rather than a loop per candidate.
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ class TrainedModel(Frozen):
         self._set(root, columns, config_echo)
 
 
-class SplitCandidate(Frozen):
-    _fields = ("feature", "threshold", "gain")
-
-    def __init__(self, feature: str,
-                 threshold: Optional[float],  # None for a categorical multiway split
-                 gain: float):
-        self._set(feature, threshold, gain)
-
-
 def entropy(counts: Sequence[int]) -> float:
     """Shannon entropy (base 2) of a count distribution; 0 for empty or pure."""
     total = sum(counts)
@@ -123,28 +113,31 @@ class _Entropies(dict):
 
 
 class _Table:
-    """Rows as a tree grows from them: column -> value of each row, by position, and whether
-    each row is TOC. Nodes hold row positions, so leave-one-out's folds share one table."""
+    """A Dataset's rows as a tree grows from them: column -> checked value of each row, by
+    position, and whether each row is TOC. Nodes hold row positions, so leave-one-out's folds
+    share one table."""
 
-    def __init__(self, columns, rows):
-        """columns: names; rows: (values in column order, ClassLabel) pairs."""
-        values = zip(*(values for values, _ in rows))
-        self.columns = {column: list(next(values, ())) for column in columns}
-        self.is_toc = [label is ClassLabel.TOC for _, label in rows]
+    def __init__(self, data: Dataset):
+        values = zip(*(values for values, _ in data.rows))
+        self.columns = {column: list(next(values, ())) for column in data.columns}
+        self.is_toc = [label is ClassLabel.TOC for _, label in data.rows]
         self.entropies = _Entropies()
 
 
-def _search(table, rows, toc, columns) -> Optional[SplitCandidate]:
-    """best_split of the table's rows at positions rows, of which those at toc are TOC.
+def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
+    """(feature, threshold) of the highest-gain split over columns of the table's rows at
+    positions rows, of which those at toc are TOC; threshold None for a categorical split, and
+    None if no gain > 0. Ties break by canonical column order, then by smaller threshold.
 
     A categorical column's one candidate counts its levels' rows and TOC rows with two
-    Counters and sums the groups' weighted entropies in serialized value order. A numeric
-    column's cuts are the midpoints (lo + hi) / 2 of its sorted distinct values: bisecting the
-    node's sorted values, and its TOC rows', at every cut counts the rows <= it (hi's too, where
-    a cut rounds up to hi), and the gains, parent - (le + gt) with each side (n / total) *
-    entropy, the floats a sum over the two sides gives, come from C-level maps. A column's best
-    cut is its first highest gain: the smallest threshold among equal gains. Entropies are
-    memoized by count pair.
+    Counters and sums the groups' weighted entropies in sorted order: checked values sort as
+    they serialize (NO before YES, and a level is its own CSV text). A numeric column's cuts
+    are the midpoints (lo + hi) / 2 of its sorted distinct values: bisecting the node's sorted
+    values, and its TOC rows', at every cut counts the rows <= it (hi's too, where a cut rounds
+    up to hi), and the gains, parent - (le + gt) with each side (n / total) * entropy, the
+    floats a sum over the two sides gives, come from C-level maps. A column's best cut is its
+    first highest gain: the smallest threshold among equal gains. Entropies are memoized by
+    count pair.
     """
     total, n_toc = len(rows), len(toc)
     parent = entropy((n_toc, total - n_toc))
@@ -158,8 +151,8 @@ def _search(table, rows, toc, columns) -> Optional[SplitCandidate]:
                 continue
             tocs = Counter(map(value_of, toc))
             # a fixed order, so row permutations cannot perturb the float gain summed over groups
-            levels = sorted(counts, key=lambda v: schema.format_value(column, v))
-            gain = parent - sum(counts[v] / total * entropies[tocs[v], counts[v]] for v in levels)
+            gain = parent - sum(counts[v] / total * entropies[tocs[v], counts[v]]
+                                for v in sorted(counts))
             threshold = None
         else:
             values = sorted(map(value_of, rows))
@@ -179,25 +172,14 @@ def _search(table, rows, toc, columns) -> Optional[SplitCandidate]:
             threshold = cuts[gains.index(gain)]
         key = (-gain, schema.canonical_index(column), -math.inf if threshold is None else threshold)
         if gain > 0 and (best_key is None or key < best_key):
-            best, best_key = SplitCandidate(column, threshold, gain), key
+            best, best_key = (column, threshold), key
     return best
-
-
-def best_split(rows, columns) -> Optional[SplitCandidate]:
-    """Highest-gain split over the given columns, or None if no gain > 0.
-
-    rows: sequence of (value mapping, ClassLabel). Ties break by canonical
-    column order, then by smaller threshold.
-    """
-    table = _Table(columns, [(tuple(values[c] for c in columns), label) for values, label in rows])
-    positions = range(len(rows))
-    return _search(table, positions, list(filter(table.is_toc.__getitem__, positions)), columns)
 
 
 def _groups(table, rows, column, threshold):
     """How a split divides rows (positions), as its branch key -> positions: {True: value <=
     threshold, False: value > threshold}, or for a categorical split (threshold None) value ->
-    positions in serialized value order, the order _search summed them in."""
+    positions in sorted value order, the order _search summed them in."""
     values = table.columns[column]
     if threshold is not None:
         return {True: [i for i in rows if values[i] <= threshold],
@@ -205,13 +187,13 @@ def _groups(table, rows, column, threshold):
     groups = {}
     for i in rows:
         groups.setdefault(values[i], []).append(i)
-    return {v: groups[v] for v in sorted(groups, key=lambda v: schema.format_value(column, v))}
+    return {v: groups[v] for v in sorted(groups)}
 
 
 def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Node:
     """The subtree learn grows from the table's rows at positions rows, at depth. Given only,
-    a row's checked values, it grows just the nodes _walk visits for that row: at each split,
-    that row's branch, or none where no row here has the row's level.
+    the position of a row outside rows, it grows just that row's path and returns, as a leaf
+    of its counts, the node where _walk would stop: a leaf, or a split with no branch for it.
 
     Each node's split is _search's over the available columns, on the node's positions into
     the table's column lists; a categorical split's column is not searched again below it.
@@ -222,19 +204,22 @@ def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Nod
     counts = (len(toc), len(rows) - len(toc))
     if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
         return Node(counts)
-    cand = _search(table, rows, toc, available)
-    if cand is None:
+    split = _search(table, rows, toc, available)
+    if split is None:
         return Node(counts)
-    if cand.threshold is None:  # every row below a categorical split shares its value
-        available = [c for c in available if c != cand.feature]
-    groups = _groups(table, rows, cand.feature, cand.threshold)
+    feature, threshold = split
+    if threshold is None:  # every row below a categorical split shares its value
+        available = [c for c in available if c != feature]
+    groups = _groups(table, rows, feature, threshold)
     if only is not None:
-        value = only[cand.feature]
-        key = value if cand.threshold is None else value <= cand.threshold
-        groups = {key: groups[key]} if key in groups else {}
-    branches = {key: _build(table, group, available, depth + 1, max_depth, min_rows, only)
+        value = table.columns[feature][only]
+        key = value if threshold is None else value <= threshold
+        if key not in groups:
+            return Node(counts)
+        return _build(table, groups[key], available, depth + 1, max_depth, min_rows, only)
+    branches = {key: _build(table, group, available, depth + 1, max_depth, min_rows)
                 for key, group in groups.items()}
-    return Node(counts, cand.feature, cand.threshold, branches)
+    return Node(counts, feature, threshold, branches)
 
 
 def _check_limits(max_depth, min_rows):
@@ -258,8 +243,8 @@ def learn(
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
     _check_limits(max_depth, min_rows)
-    table = _Table(data.columns, data.rows)
-    root = _build(table, list(range(len(data.rows))), list(data.columns), 0, max_depth, min_rows)
+    root = _build(_Table(data), list(range(len(data.rows))), list(data.columns), 0, max_depth,
+                  min_rows)
     config = config or FeatureConfig()
     return TrainedModel(root=root, columns=tuple(data.columns), config_echo=config)
 

@@ -133,6 +133,46 @@ def brute_force_best_split(rows, columns):
     )
 
 
+def check_splits_by_brute_force(data, root, max_depth=None, min_rows=1):
+    """Check a tree learned from data at every node against brute_force_best_split.
+
+    Partitions data's rows down the tree. At an inner node, (feature, threshold) is the
+    oracle's over the node's rows and the columns available there (a categorical split's
+    column is not), and the gain recomputed from the node's and its children's counts, summed
+    in branch order, is the oracle's within 1e-9. A leaf that could still split (mixed labels,
+    at least 2 * min_rows rows, depth below max_depth) has no positive-gain split.
+    """
+
+    def ent(counts):
+        n = sum(counts)
+        return -sum(c / n * math.log2(c / n) for c in counts if c)
+
+    pending = [(root, [(dict(zip(data.columns, values)), label) for values, label in data.rows],
+                list(data.columns), 0)]
+    while pending:
+        node, rows, available, depth = pending.pop()
+        n_toc = sum(label is ClassLabel.TOC for _, label in rows)
+        assert node.counts == (n_toc, len(rows) - n_toc)
+        oracle = brute_force_best_split(rows, available)
+        if not node.branches:
+            if (0 not in node.counts and len(rows) >= 2 * min_rows
+                    and (max_depth is None or depth < max_depth)):
+                assert oracle is None, (oracle, rows)
+            continue
+        feature, threshold = node.feature, node.threshold
+        assert oracle is not None and (feature, threshold) == oracle[:2], (oracle, rows)
+        gain = ent(node.counts) - sum(sum(child.counts) / len(rows) * ent(child.counts)
+                                      for child in node.branches.values())
+        assert abs(gain - oracle[2]) <= 1e-9
+        if threshold is None:
+            available = [c for c in available if c != feature]
+        for key, child in node.branches.items():
+            group = [(values, label) for values, label in rows
+                     if (values[feature] if threshold is None else values[feature] <= threshold)
+                     == key]
+            pending.append((child, group, available, depth + 1))
+
+
 def brute_force_title_line(page, cfg):
     """Independent word-window title-line finder.
 
@@ -415,7 +455,8 @@ def _reference_candidates(rows, column):
 
 
 def reference_best_split(rows, columns):
-    """tree.best_split as a loop over every candidate of rows of (value dict, label)."""
+    """tree._search as a loop over every candidate of rows of (value dict, label): (feature,
+    threshold) of the highest-gain split, or None."""
     total = len(rows)
     parent = tree.entropy(_count(rows))
     best = None
@@ -425,7 +466,7 @@ def reference_best_split(rows, columns):
             gain = parent - sum(sum(c) / total * tree.entropy(c) for c in parts)
             key = (-gain, canonical_index(column), -math.inf if t is None else t)
             if gain > 0 and (best_key is None or key < best_key):
-                best, best_key = tree.SplitCandidate(column, t, gain), key
+                best, best_key = (column, t), key
     return best
 
 
@@ -436,19 +477,20 @@ def _reference_build(rows, available, depth, max_depth, min_rows, only=None):
     counts = _count(rows)
     if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
         return tree.Node(counts)
-    cand = reference_best_split(rows, available)
-    if cand is None:
+    split = reference_best_split(rows, available)
+    if split is None:
         return tree.Node(counts)
-    if cand.threshold is None:
-        available = [c for c in available if c != cand.feature]
-    groups = _reference_groups(rows, cand.feature, cand.threshold)
+    feature, threshold = split
+    if threshold is None:
+        available = [c for c in available if c != feature]
+    groups = _reference_groups(rows, feature, threshold)
     if only is not None:
-        value = only[cand.feature]
-        key = value if cand.threshold is None else value <= cand.threshold
+        value = only[feature]
+        key = value if threshold is None else value <= threshold
         groups = {key: groups[key]} if key in groups else {}
     branches = {key: _reference_build(group, available, depth + 1, max_depth, min_rows, only)
                 for key, group in groups.items()}
-    return tree.Node(counts, cand.feature, cand.threshold, branches)
+    return tree.Node(counts, feature, threshold, branches)
 
 
 def reference_learn(data, max_depth=None, min_rows=1):

@@ -17,9 +17,16 @@ from tocdetect.docmodel import parse_document, write_document_xml
 from tocdetect.features import FeatureConfig, FeatureVector, extract_features
 from tocdetect.pipeline import detect, evaluate
 from tocdetect.schema import ClassLabel
-from tocdetect.tree import best_split, classify, export_dot, export_text, learn, save_model
+from tocdetect.tree import classify, export_dot, export_text, learn, save_model
 
-from helpers import brute_force_best_split, canonical_toc_page, doc, page, route_json_tree, tok
+from helpers import (
+    canonical_toc_page,
+    check_splits_by_brute_force,
+    doc,
+    page,
+    route_json_tree,
+    tok,
+)
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 CFG = FeatureConfig()
@@ -85,19 +92,12 @@ def test_criterion_3_entropy_gain_oracle():
     for _ in range(1200):
         columns = rng.sample(sorted(column_pool), rng.randint(1, 3))
         rows = [
-            ({c: column_pool[c](rng) for c in columns}, rng.choice([TOC, NON]))
+            (tuple(column_pool[c](rng) for c in columns), rng.choice([TOC, NON]))
             for _ in range(rng.randint(1, 8))
         ]
-        cand = best_split(rows, columns)
-        oracle = brute_force_best_split(rows, columns)
-        if oracle is None:
-            assert cand is None
-        else:
-            assert cand is not None
-            assert cand.feature == oracle[0]
-            assert cand.threshold == oracle[1]
-            assert abs(cand.gain - oracle[2]) <= 1e-9
-            assert cand.gain >= 0.0
+        data = Dataset(columns=tuple(columns), rows=tuple(rows))
+        # every node of the learned tree: its split is the oracle's, with the oracle's gain
+        check_splits_by_brute_force(data, learn(data).root)
         checked += 1
     elapsed = time.monotonic() - start
     assert checked >= 1000

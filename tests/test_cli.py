@@ -1,5 +1,6 @@
 import errno
 import gc
+import io
 import json
 import os
 import stat
@@ -199,6 +200,40 @@ def test_missing_input_file_is_io_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     assert _error_line(capsys).endswith(f"No such file or directory: {argv[1]!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["train", "CSV", "--out", "m.json"], ["eval", "MODEL", "CSV"],
+                                  ["eval", "--loo", "CSV"]], ids=["train", "eval", "eval-loo"])
+def test_csv_read_error_names_the_path(tmp_path, model_file, fixture_csv, capsys, monkeypatch,
+                                       argv):
+    class Unreadable(io.BytesIO):
+        def read(self, *args):
+            raise OSError(errno.EIO, "Input/output error")
+
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda path, *args: (
+        Unreadable() if path == str(fixture_csv) else real_open(path, *args)), raising=False)
+    monkeypatch.chdir(tmp_path)
+    paths = {"CSV": str(fixture_csv), "MODEL": str(model_file)}
+    assert run([paths.get(arg, arg) for arg in argv]) == 2
+    assert _error_line(capsys) == (
+        f"tocdetect: error[io]: [Errno 5] Input/output error: {str(fixture_csv)!r}\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_failed_rename_leaves_the_out_file_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t1.csv"
+    out.write_bytes(b"old")
+
+    def replace(src, dst):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert run(["fixture", "--table1", "--out", str(out)]) == 2
+    assert _error_line(capsys) == (
+        f"tocdetect: error[io]: [Errno 13] Permission denied: {str(out)!r}\n")
+    assert out.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["t1.csv"]  # the temp file is removed
 
 
 def test_out_file_mode_follows_umask(tmp_path, fixture_csv):
@@ -596,10 +631,10 @@ def test_package_names_resolve_on_first_use():
     import tocdetect
     assert tocdetect.__all__ == [
         "ClassLabel", "Dataset", "DetectionResult", "DocumentModel", "EvaluationReport",
-        "FeatureConfig", "FeatureVector", "Line", "Page", "Token", "TrainedModel", "best_split",
-        "classify", "detect", "entropy", "evaluate", "export_dot", "export_text",
-        "extract_features", "learn", "leave_one_out", "load_csv", "load_model", "parse_document",
-        "save_model", "table1_fixture", "write_csv", "write_feature_csv"]
+        "FeatureConfig", "FeatureVector", "Line", "Page", "Token", "TrainedModel", "classify",
+        "detect", "entropy", "evaluate", "export_dot", "export_text", "extract_features", "learn",
+        "leave_one_out", "load_csv", "load_model", "parse_document", "save_model",
+        "table1_fixture", "write_csv", "write_feature_csv"]
     for name in tocdetect.__all__:  # each name is the object its home module defines
         home = getattr(tocdetect, tocdetect._HOMES[name])
         assert getattr(tocdetect, name) is getattr(home, name)

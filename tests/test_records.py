@@ -17,7 +17,7 @@ from tocdetect.features import (
 )
 from tocdetect.pipeline import DetectionResult, EvaluationReport
 from tocdetect.schema import ClassLabel
-from tocdetect.tree import Node, SplitCandidate, TrainedModel
+from tocdetect.tree import Node, TrainedModel
 
 TOC, NON = ClassLabel.TOC, ClassLabel.NON_TOC
 _TOKEN = Token("Contents", "Times", 18.0, True, False, "p2")
@@ -65,8 +65,6 @@ SPECS = [
     Spec(TrainedModel, ("root", "columns", "config_echo"),
          (_SPLIT, ("contextual_term_count",), FeatureConfig(max_page_number_digits=2)),
          {"config_echo": FeatureConfig()}, _LEAF, hashable=False),  # a Node does not hash
-    Spec(SplitCandidate, ("feature", "threshold", "gain"), ("contextual_term_count", 0.5, 0.25),
-         other="section_term_frequency"),
     Spec(DetectionResult, ("document_id", "scanned_pages", "toc_pages", "prefix_fraction"),
          ("d", (1, 2), ((1, (3, 0)),), 0.3), other="e"),
     Spec(EvaluationReport, ("tp", "fp", "fn", "tn"), (1, 2, 3, 4), other=0),
@@ -114,6 +112,8 @@ def test_frozen_hashed_and_slotted_as_before(spec):
     if spec.frozen:
         with pytest.raises(AttributeError):
             setattr(record, name, spec.other)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
         assert getattr(record, name) == spec.values[0]
     else:
         setattr(record, name, spec.other)

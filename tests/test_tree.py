@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tocdetect import tree
+from tocdetect import schema, tree
 from tocdetect.dataset import Dataset, table1_fixture
 from tocdetect.errors import (
     CorruptModel,
@@ -21,7 +22,6 @@ from tocdetect.schema import ClassLabel
 from tocdetect.tree import (
     Node,
     TrainedModel,
-    best_split,
     classify,
     entropy,
     export_dot,
@@ -33,7 +33,7 @@ from tocdetect.tree import (
 
 from helpers import (
     brute_force_best_split,
-    reference_best_split,
+    check_splits_by_brute_force,
     reference_learn,
     reference_leave_one_out,
     route_json_tree,
@@ -66,21 +66,19 @@ def test_entropy_eight_two():
     assert entropy((8, 2)) == pytest.approx(0.7219280948873623, abs=1e-9)
 
 
-# -- best_split -----------------------------------------------------------------
+# -- the best split of a node's rows, as the root of learn(..., max_depth=1) ---------------
 
 def test_best_split_pure_rows_returns_none():
-    rows = [({"outgoing_link_frequency": 0.1}, TOC),
-            ({"outgoing_link_frequency": 0.9}, TOC)]
-    assert best_split(rows, ["outgoing_link_frequency"]) is None
+    data = make_dataset(["outgoing_link_frequency"], [(0.1, TOC), (0.9, TOC)])
+    assert learn(data, max_depth=1).root == Node((2, 0))
 
 
 def test_best_split_two_numeric_values():
-    rows = [({"outgoing_link_frequency": 0.3}, NON),
-            ({"outgoing_link_frequency": 0.56}, TOC)]
-    cand = best_split(rows, ["outgoing_link_frequency"])
-    assert cand.feature == "outgoing_link_frequency"
-    assert cand.threshold == pytest.approx(0.43)
-    assert cand.gain == pytest.approx(entropy((1, 1)))  # children pure
+    data = make_dataset(["outgoing_link_frequency"], [(0.3, NON), (0.56, TOC)])
+    root = learn(data, max_depth=1).root
+    assert root.feature == "outgoing_link_frequency"
+    assert root.threshold == pytest.approx(0.43)
+    assert root.branches == {True: Node((0, 1)), False: Node((1, 0))}  # pure: gain entropy((1, 1))
 
 
 def test_table1_contains_title_term_gain():
@@ -103,12 +101,9 @@ def test_table1_contains_title_term_gain():
 
 def test_best_split_tie_breaks_by_canonical_order():
     # identical partitions on two numeric columns; the canonical-earlier wins
-    rows = [
-        ({"line_start_number_frequency": 0.0, "outgoing_link_frequency": 0.0}, NON),
-        ({"line_start_number_frequency": 1.0, "outgoing_link_frequency": 1.0}, TOC),
-    ]
-    cand = best_split(rows, ["outgoing_link_frequency", "line_start_number_frequency"])
-    assert cand.feature == "line_start_number_frequency"
+    data = make_dataset(["outgoing_link_frequency", "line_start_number_frequency"],
+                        [(0.0, 0.0, NON), (1.0, 1.0, TOC)])
+    assert learn(data, max_depth=1).root.feature == "line_start_number_frequency"
 
 
 # -- learn / classify -------------------------------------------------------------
@@ -433,62 +428,67 @@ _COLUMN_VALUES = {
 
 
 @st.composite
-def _random_rows(draw):
+def _random_data(draw):
     columns = draw(
         st.lists(st.sampled_from(sorted(_COLUMN_VALUES)), min_size=1, max_size=3, unique=True)
     )
-    n = draw(st.integers(1, 8))
-    rows = [
-        (
-            {c: draw(_COLUMN_VALUES[c]) for c in columns},
-            draw(st.sampled_from([TOC, NON])),
-        )
-        for _ in range(n)
-    ]
-    return columns, rows
+    rows = [(tuple(draw(_COLUMN_VALUES[c]) for c in columns), draw(st.sampled_from([TOC, NON])))
+            for _ in range(draw(st.integers(1, 12)))]
+    limits = draw(st.fixed_dictionaries({}, optional={
+        "max_depth": st.integers(1, 4), "min_rows": st.integers(1, 3)}))
+    return Dataset(columns=tuple(columns), rows=tuple(rows)), limits
 
 
-@given(_random_rows())
-def test_best_split_matches_brute_force(cols_rows):
-    columns, rows = cols_rows
-    cand = best_split(rows, columns)
-    oracle = brute_force_best_split(rows, columns)
-    if oracle is None:
-        assert cand is None
-    else:
-        assert cand is not None
-        assert cand.gain >= 0
-        assert cand.feature == oracle[0]
-        assert cand.threshold == oracle[1]
-        assert cand.gain == pytest.approx(oracle[2], abs=1e-9)
+@settings(deadline=None)
+@given(_random_data())
+def test_best_split_matches_brute_force(data_limits):
+    data, limits = data_limits
+    check_splits_by_brute_force(data, learn(data, **limits).root, **limits)
 
 
 # -- the column-list grower against the row-dict grower it replaced -------------------------
 
-_UP = math.nextafter(1.0, 2.0)
 _HALF_UP = math.nextafter(0.5, 1.0)
 
 
-@pytest.mark.parametrize("column, values", [
-    # the cut between 1.0 and _UP rounds down to 1.0; the next cut rounds up to its upper value
-    ("outgoing_link_frequency", [1.0, _UP, math.nextafter(_UP, 2.0)]),
-    # serialized order (A, A_B, A_B, B) is not sorted order; a-b and A_B are two groups
-    ("title_term_font_class", ["a", "B", "a-b", "A_B"]),
-], ids=["cut-rounds-to-either-side", "raw-levels"])
-def test_best_split_matches_the_row_dict_reference_on_raw_values(column, values):
+def test_learn_matches_the_row_dict_reference_on_cuts_that_round():
+    # the cut between 0.5 and _HALF_UP rounds down to 0.5; the next cut rounds up to its upper
+    # value
+    values = [0.5, _HALF_UP, math.nextafter(_HALF_UP, 1.0)]
+    assert [(lo + hi) / 2 for lo, hi in zip(values, values[1:])] == [values[0], values[2]]
     for labels in itertools.product([TOC, NON], repeat=2 * len(values)):
-        rows = [({column: v}, label) for v, label in zip(values * 2, labels)]
-        assert best_split(rows, [column]) == reference_best_split(rows, [column])
+        data = make_dataset(["outgoing_link_frequency"], zip(values * 2, labels))
+        assert learn(data).root == reference_learn(data)
 
 
 def test_categorical_gain_sums_groups_in_serialized_order():
-    # before Python 3.12, whose sum compensates, these groups' weighted entropies sum to
-    # another float in sorted order (A_B, B, a, a-b) than in serialized order
-    counts = {"a": (2, 4), "B": (0, 3), "a-b": (4, 2), "A_B": (1, 1)}
-    rows = [({"title_term_font_class": v}, label) for v, (toc, non) in counts.items()
-            for label in [TOC] * toc + [NON] * non]
-    columns = ["title_term_font_class"]
-    assert best_split(rows, columns) == reference_best_split(rows, columns)
+    # The style levels' rows come in reverse serialized order, and their font twins' in
+    # serialized order. Before Python 3.12, whose sum compensates, the style groups' weighted
+    # entropies (counts 0/1, 1/2, 2/3, 1/1 TOC/NON-TOC in serialized order) sum to a larger
+    # float in serialized order than in reverse, so the font column's gain is the higher one.
+    # Summed in first-seen row order, the two gains would tie and the style column would win.
+    levels = {"NA": ("A", (1, 1)), "MOST_FREQUENT": ("B", (2, 3)),
+              "LARGEST": ("C", (1, 2)), "INTERMEDIATE": ("D", (0, 1))}
+    data = make_dataset(["title_term_style", "title_term_font_class"],
+                        [(style, font, label) for style, (font, (toc, non)) in levels.items()
+                         for label in [TOC] * toc + [NON] * non])
+    root = learn(data, max_depth=1).root
+    assert root == reference_learn(data, max_depth=1)
+    if sys.version_info < (3, 12):
+        assert root.feature == "title_term_font_class"
+
+
+@given(st.lists(st.text(), max_size=6), st.lists(st.booleans(), max_size=3))
+def test_checked_values_sort_as_they_serialize(texts, flags):
+    # so a categorical split orders its levels with plain sorted, in serialized order
+    levels = []
+    for text in texts:
+        try:
+            levels.append(schema.check_value("title_term_font_class", text))
+        except DataTypeError:  # an empty level
+            pass
+    for column, values in (("title_term_font_class", levels), ("numbers_ascending", flags)):
+        assert sorted(values) == sorted(values, key=lambda v: schema.format_value(column, v))
 
 
 _GROWER_VALUES = {
@@ -545,8 +545,6 @@ def _grower_example(column, values, labels, other=None):
                          [TOC, NON, NON, NON], other="numbers_ascending"))
 def test_grower_matches_the_row_dict_reference(data_limits):
     data, limits = data_limits
-    rows = [(dict(zip(data.columns, values)), label) for values, label in data.rows]
-    assert best_split(rows, data.columns) == reference_best_split(rows, data.columns)
     root, expected = learn(data, **limits).root, reference_learn(data, **limits)
     assert root == expected
     # and branch order and threshold reprs too
