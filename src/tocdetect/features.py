@@ -62,6 +62,9 @@ class FeatureConfig(Frozen):
                   max_page_number_digits)
 
 
+DEFAULT_CONFIG = FeatureConfig()  # immutable, so every call without a config shares it
+
+
 class FeatureVector(Frozen):
     """The ten feature values of a page; its fields are the canonical columns, in order."""
     _fields = tuple(schema.CANONICAL_COLUMNS)
@@ -147,7 +150,7 @@ def trailing_page_number(line: Line, cfg: FeatureConfig) -> int | None:
 
 def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVector:
     """Compute the canonical ten-feature vector for one page. Pure function."""
-    cfg = cfg or FeatureConfig()
+    cfg = cfg or DEFAULT_CONFIG
     total = len(page.lines) or 1  # an empty page has no counts, so every frequency is 0.0
 
     title = find_title_line(page, cfg)

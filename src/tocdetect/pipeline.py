@@ -19,7 +19,7 @@ from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
 from .record import Frozen
 from .schema import ClassLabel
-from .tree import TrainedModel, _build, _check_limits, _Table, _walk, classify
+from .tree import TrainedModel, _build, _Table, _walk, classify
 
 if TYPE_CHECKING:
     from .docmodel import DocumentModel
@@ -171,9 +171,8 @@ def leave_one_out(
     """
     if len(data.rows) < 2:
         raise EmptyDataset("leave-one-out needs at least 2 rows")
-    _check_limits(max_depth, min_rows)
-    table = _Table(data)  # the folds share it: a fold is its row positions
+    table = _Table(data, max_depth, min_rows)  # the folds share it: a fold is its row positions
     positions = list(range(len(data.rows)))
     return _tally((gold, _build(table, positions[:i] + positions[i + 1:], data.columns, 0,
-                                max_depth, min_rows, only=i).label)
+                                only=i).label)
                   for i, (_, gold) in enumerate(data.rows))

@@ -19,8 +19,7 @@ where a held-out row's path passes it.
 
 The grower works column-wise, as SLIQ does: a _Table holds each column's
 checked values as one list, a node is its rows' positions (so leave-one-out's
-folds share one table), and _search finds a node's split from those lists with
-C-level passes rather than a loop per candidate.
+folds share one table), and _search finds a node's split from those lists.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import json
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import repeat
-from operator import add, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from . import schema
@@ -42,7 +39,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .dataset import Dataset
-from .features import FeatureConfig
+from .features import DEFAULT_CONFIG, FeatureConfig
 from .record import Frozen
 from .schema import ClassLabel
 
@@ -86,7 +83,7 @@ class TrainedModel(Frozen):
     _fields = ("root", "columns", "config_echo")
 
     def __init__(self, root: Node, columns: tuple[str, ...],
-                 config_echo: FeatureConfig = FeatureConfig()):
+                 config_echo: FeatureConfig = DEFAULT_CONFIG):
         self._set(root, columns, config_echo)
 
 
@@ -114,10 +111,15 @@ class _Entropies(dict):
 
 class _Table:
     """A Dataset's rows as a tree grows from them: column -> checked value of each row, by
-    position, and whether each row is TOC. Nodes hold row positions, so leave-one-out's folds
-    share one table."""
+    position, and whether each row is TOC, with the limits every node of the tree obeys.
+    Nodes hold row positions, so leave-one-out's folds share one table."""
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, max_depth: int | None, min_rows: int):
+        if min_rows < 1:
+            raise ValueError("min_rows must be >= 1")
+        if max_depth is not None and max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        self.max_depth, self.min_rows = max_depth or math.inf, min_rows  # None: no depth limit
         values = zip(*(values for values, _ in data.rows))
         self.columns = {column: list(next(values, ())) for column in data.columns}
         self.is_toc = [label is ClassLabel.TOC for _, label in data.rows]
@@ -130,14 +132,14 @@ def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
     None if no gain > 0. Ties break by canonical column order, then by smaller threshold.
 
     A categorical column's one candidate counts its levels' rows and TOC rows with two
-    Counters and sums the groups' weighted entropies in sorted order: checked values sort as
-    they serialize (NO before YES, and a level is its own CSV text). A numeric column's cuts
-    are the midpoints (lo + hi) / 2 of its sorted distinct values: bisecting the node's sorted
-    values, and its TOC rows', at every cut counts the rows <= it (hi's too, where a cut rounds
-    up to hi), and the gains, parent - (le + gt) with each side (n / total) * entropy, the
-    floats a sum over the two sides gives, come from C-level maps. A column's best cut is its
-    first highest gain: the smallest threshold among equal gains. Entropies are memoized by
-    count pair.
+    Counters and adds the groups' weighted entropies left to right in sorted order: checked
+    values sort as they serialize (NO before YES, and a level is its own CSV text), and a plain
+    loop adds floats alike on every Python, where builtin sum compensates from 3.12 on. A
+    numeric column's cuts are the midpoints (lo + hi) / 2 of its sorted distinct values; one
+    loop bisects the node's sorted values, and its TOC rows', at each cut to count the rows
+    <= it (hi's too, where a cut rounds up to hi), and scores it parent - (le + gt), each side
+    (n / total) * entropy. A cut replaces the column's best only with a strictly higher gain,
+    so among equal gains the smaller threshold wins. Entropies are memoized by count pair.
     """
     total, n_toc = len(rows), len(toc)
     parent = entropy((n_toc, total - n_toc))
@@ -150,26 +152,26 @@ def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
             if len(counts) < 2:
                 continue
             tocs = Counter(map(value_of, toc))
-            # a fixed order, so row permutations cannot perturb the float gain summed over groups
-            gain = parent - sum(counts[v] / total * entropies[tocs[v], counts[v]]
-                                for v in sorted(counts))
+            weighted = 0.0
+            for v in sorted(counts):  # a fixed order, so row permutations cannot perturb it
+                weighted += counts[v] / total * entropies[tocs[v], counts[v]]
+            gain = parent - weighted
             threshold = None
         else:
             values = sorted(map(value_of, rows))
             distinct = sorted(set(values))  # 1 and 1.0 are one value
             if len(distinct) < 2:
                 continue
-            cuts = list(map(truediv, map(add, distinct, distinct[1:]), repeat(2)))  # (lo + hi) / 2
-            le_rows = list(map(bisect_right, repeat(values), cuts))
-            le_toc = list(map(bisect_right, repeat(sorted(map(value_of, toc))), cuts))
-            gt_rows = list(map(sub, repeat(total), le_rows))
-            le = map(mul, map(truediv, le_rows, repeat(total)),
-                     map(entropies.__getitem__, zip(le_toc, le_rows)))
-            gt = map(mul, map(truediv, gt_rows, repeat(total)),
-                     map(entropies.__getitem__, zip(map(sub, repeat(n_toc), le_toc), gt_rows)))
-            gains = list(map(sub, repeat(parent), map(add, le, gt)))
-            gain = max(gains)
-            threshold = cuts[gains.index(gain)]
+            toc_values = sorted(map(value_of, toc))
+            gain = -math.inf
+            for lo, hi in zip(distinct, distinct[1:]):
+                cut = (lo + hi) / 2
+                le = bisect_right(values, cut)
+                le_toc = bisect_right(toc_values, cut)
+                cut_gain = parent - (le / total * entropies[le_toc, le]
+                                     + (total - le) / total * entropies[n_toc - le_toc, total - le])
+                if cut_gain > gain:
+                    gain, threshold = cut_gain, cut
         key = (-gain, schema.canonical_index(column), -math.inf if threshold is None else threshold)
         if gain > 0 and (best_key is None or key < best_key):
             best, best_key = (column, threshold), key
@@ -190,10 +192,11 @@ def _groups(table, rows, column, threshold):
     return {v: groups[v] for v in sorted(groups)}
 
 
-def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Node:
-    """The subtree learn grows from the table's rows at positions rows, at depth. Given only,
-    the position of a row outside rows, it grows just that row's path and returns, as a leaf
-    of its counts, the node where _walk would stop: a leaf, or a split with no branch for it.
+def _build(table, rows, available, depth, only=None) -> Node:
+    """The subtree learn grows from the table's rows at positions rows, at depth, within the
+    table's limits. Given only, the position of a row outside rows, it grows just that row's
+    path and returns, as a leaf of its counts, the node where _walk would stop: a leaf, or a
+    split with no branch for it.
 
     Each node's split is _search's over the available columns, on the node's positions into
     the table's column lists; a categorical split's column is not searched again below it.
@@ -202,7 +205,7 @@ def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Nod
         raise DatasetError(f"tree deeper than {MAX_TREE_DEPTH} levels; limit it with max_depth")
     toc = list(filter(table.is_toc.__getitem__, rows))
     counts = (len(toc), len(rows) - len(toc))
-    if 0 in counts or len(rows) < 2 * min_rows or (max_depth is not None and depth >= max_depth):
+    if 0 in counts or len(rows) < 2 * table.min_rows or depth >= table.max_depth:
         return Node(counts)
     split = _search(table, rows, toc, available)
     if split is None:
@@ -216,17 +219,10 @@ def _build(table, rows, available, depth, max_depth, min_rows, only=None) -> Nod
         key = value if threshold is None else value <= threshold
         if key not in groups:
             return Node(counts)
-        return _build(table, groups[key], available, depth + 1, max_depth, min_rows, only)
-    branches = {key: _build(table, group, available, depth + 1, max_depth, min_rows)
+        return _build(table, groups[key], available, depth + 1, only)
+    branches = {key: _build(table, group, available, depth + 1)
                 for key, group in groups.items()}
     return Node(counts, feature, threshold, branches)
-
-
-def _check_limits(max_depth, min_rows):
-    if min_rows < 1:
-        raise ValueError("min_rows must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
 
 
 def _counts_json(counts: Counts) -> dict:
@@ -242,10 +238,9 @@ def learn(
     """Induce a decision tree from a labeled dataset. Deterministic; DatasetError if too deep."""
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
-    _check_limits(max_depth, min_rows)
-    root = _build(_Table(data), list(range(len(data.rows))), list(data.columns), 0, max_depth,
-                  min_rows)
-    config = config or FeatureConfig()
+    root = _build(_Table(data, max_depth, min_rows), list(range(len(data.rows))),
+                  list(data.columns), 0)
+    config = config or DEFAULT_CONFIG
     return TrainedModel(root=root, columns=tuple(data.columns), config_echo=config)
 
 

@@ -81,13 +81,24 @@ def canonical_toc_page(index=1, with_links=False):
     return page(lines, index=index)
 
 
+def add_left_to_right(terms):
+    """The float sum of terms added one at a time, first to last, as the split search adds
+    them: builtin sum compensates from Python 3.12 on, so it may round differently."""
+    result = 0.0
+    for term in terms:
+        result += term
+    return result
+
+
 def brute_force_best_split(rows, columns):
     """Independent split enumerator mirroring the documented tie rules.
 
     rows: sequence of (value dict, label). Enumerates the one multiway
     partition per categorical/boolean column and every midpoint threshold
     per numeric column; returns (feature, threshold_or_None, gain) of the
-    best positive-gain candidate, or None.
+    best positive-gain candidate, or None. A candidate's groups' weighted
+    entropies are added left to right, a categorical column's in serialized
+    level order.
     """
 
     def ent(labels):
@@ -113,7 +124,7 @@ def brute_force_best_split(rows, columns):
                     [label for v, label in rows if v[column] <= t],
                     [label for v, label in rows if v[column] > t],
                 )
-                gain = parent - sum(len(s) / total * ent(s) for s in sides)
+                gain = parent - add_left_to_right(len(s) / total * ent(s) for s in sides)
                 candidates.append((column, t, gain))
         else:
             groups = {}
@@ -122,7 +133,7 @@ def brute_force_best_split(rows, columns):
             if len(groups) < 2:
                 continue
             ordered = [groups[k] for k in sorted(groups, key=lambda k: format_value(column, k))]
-            gain = parent - sum(len(g) / total * ent(g) for g in ordered)
+            gain = parent - add_left_to_right(len(g) / total * ent(g) for g in ordered)
             candidates.append((column, None, gain))
     positive = [c for c in candidates if c[2] > 0]
     if not positive:
@@ -456,14 +467,14 @@ def _reference_candidates(rows, column):
 
 def reference_best_split(rows, columns):
     """tree._search as a loop over every candidate of rows of (value dict, label): (feature,
-    threshold) of the highest-gain split, or None."""
+    threshold) of the highest-gain split, or None. Parts' weighted entropies add left to right."""
     total = len(rows)
     parent = tree.entropy(_count(rows))
     best = None
     best_key = None
     for column in columns:
         for t, parts in _reference_candidates(rows, column):
-            gain = parent - sum(sum(c) / total * tree.entropy(c) for c in parts)
+            gain = parent - add_left_to_right(sum(c) / total * tree.entropy(c) for c in parts)
             key = (-gain, canonical_index(column), -math.inf if t is None else t)
             if gain > 0 and (best_key is None or key < best_key):
                 best, best_key = (column, t), key

@@ -181,6 +181,8 @@ def test_loo_requires_two_rows():
     data = Dataset(columns=("contains_title_term",), rows=(((True,), TOC),))
     with pytest.raises(EmptyDataset):
         leave_one_out(data)
+    with pytest.raises(EmptyDataset):  # before the limits are checked
+        leave_one_out(data, max_depth=0)
 
 
 @pytest.mark.parametrize("limits", [{"min_rows": 0}, {"max_depth": 0}],

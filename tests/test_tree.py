@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import sys
 from unittest import mock
 
 import pytest
@@ -120,6 +119,8 @@ def test_learn_empty_dataset_raises():
     empty = Dataset(columns=data.columns, rows=())
     with pytest.raises(EmptyDataset):
         learn(empty)
+    with pytest.raises(EmptyDataset):  # before the limits are checked
+        learn(empty, min_rows=0)
 
 
 def test_learn_contradictory_duplicates_tie_to_toc():
@@ -463,10 +464,11 @@ def test_learn_matches_the_row_dict_reference_on_cuts_that_round():
 
 def test_categorical_gain_sums_groups_in_serialized_order():
     # The style levels' rows come in reverse serialized order, and their font twins' in
-    # serialized order. Before Python 3.12, whose sum compensates, the style groups' weighted
-    # entropies (counts 0/1, 1/2, 2/3, 1/1 TOC/NON-TOC in serialized order) sum to a larger
-    # float in serialized order than in reverse, so the font column's gain is the higher one.
-    # Summed in first-seen row order, the two gains would tie and the style column would win.
+    # serialized order. Added left to right, the style groups' weighted entropies (counts 0/1,
+    # 1/2, 2/3, 1/1 TOC/NON-TOC in serialized order) give a larger float in serialized order
+    # than in reverse, so the font column's gain is the higher one, on every Python: builtin
+    # sum, which compensates from 3.12 on, would tie the two there and pick the style column.
+    # Added in first-seen row order, the two gains would tie too.
     levels = {"NA": ("A", (1, 1)), "MOST_FREQUENT": ("B", (2, 3)),
               "LARGEST": ("C", (1, 2)), "INTERMEDIATE": ("D", (0, 1))}
     data = make_dataset(["title_term_style", "title_term_font_class"],
@@ -474,8 +476,7 @@ def test_categorical_gain_sums_groups_in_serialized_order():
                          for label in [TOC] * toc + [NON] * non])
     root = learn(data, max_depth=1).root
     assert root == reference_learn(data, max_depth=1)
-    if sys.version_info < (3, 12):
-        assert root.feature == "title_term_font_class"
+    assert root.feature == "title_term_font_class"
 
 
 @given(st.lists(st.text(), max_size=6), st.lists(st.booleans(), max_size=3))
