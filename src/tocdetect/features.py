@@ -5,6 +5,17 @@ section-keyword and line-number frequencies, ascending-page-number check,
 and outgoing-link frequency. Frequencies and the title line's position
 (from 0) are divided by the page's total line count (empty lines
 included). A line is taken by its position in `page.lines`, not `Line.index`.
+
+A page is read as flat columns, not line by line: its token texts in
+reading order, one list, and beside it each line's running token-count
+end, so token i lies on line `bisect_right(ends, i)`. Keyword and link
+lines are counted from per-token flags made by C-level `map` passes:
+each flagged position is mapped to its line, and the distinct lines are
+counted. Section and page numbers are read from the lists of each
+non-empty line's first and last token texts. The title search runs only
+where a configured phrase's first word occurs in the lowercased text, of
+the page and then of the line; `find_title_line` says why that skips no
+match.
 """
 
 from __future__ import annotations
@@ -12,7 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter, is_not, itemgetter, le
 from typing import TYPE_CHECKING
 
 from . import schema
@@ -21,7 +35,7 @@ from .record import Frozen
 from .schema import ClassLabel
 
 if TYPE_CHECKING:  # a feature CSV is read without the XML parser
-    from .docmodel import Line, Page
+    from .docmodel import Page
 
 DEFAULT_TITLE_TERMS = (
     "table of contents",
@@ -34,7 +48,8 @@ DEFAULT_SECTION_KEYWORDS = frozenset(
      "introduction", "bibliography", "index"}
 )
 
-_SECTION_NUMBER_RE = re.compile(r"\d+(\.\d+)*\.?$", re.ASCII)
+_SECTION_NUMBER_RE = re.compile(r"\d+(\.\d+)*\.?$", re.ASCII)  # 1, 1.2, 1.2. and so on
+_TOKENS, _TEXT, _LINK = attrgetter("tokens"), attrgetter("text"), attrgetter("link_target")
 
 
 class FeatureConfig(Frozen):
@@ -96,19 +111,43 @@ def find_title_line(page: Page, cfg: FeatureConfig):
     count is the number of the line's tokens outside the matched phrase.
     Returns (line position, contextual_count, matched_phrase) for the
     candidate with the fewest contextual tokens (ties: earliest line), or None.
+
+    Only lines that can hold a phrase are normalised and searched. A match
+    puts the phrase's first word, whole, among the whitespace-free words of
+    the line's lowercased text, so that text contains the word. So does the
+    text of all the page's tokens, joined by spaces and lowercased in one
+    call: lowercasing a line's characters reads no context beyond the space
+    that joins it to the next line, as Python's final-sigma rule looks past
+    case-ignorable characters only and a space is not one. A page whose
+    lowercased text holds no first word, and a line whose lowercased text
+    holds none, are skipped with nothing lost.
     """
+    line_tokens = list(map(_TOKENS, page.lines))
+    page_text = " ".join(map(_TEXT, chain.from_iterable(line_tokens))).lower()
+    return _title_line(line_tokens, page_text, cfg)
+
+
+def _title_line(line_tokens, page_text: str, cfg: FeatureConfig):
+    """find_title_line on a page's columns: each line's tokens, and all token texts joined by
+    spaces and lowercased."""
+    heads = {phrase.partition(" ")[0] for phrase in cfg.title_terms}  # each phrase's first word
+    if not any(map(page_text.__contains__, heads)):
+        return None
     phrases = sorted(cfg.title_terms, key=lambda phrase: phrase.count(" "), reverse=True)
     best = None
-    for position, line in enumerate(page.lines):
-        text = f" {' '.join(' '.join(tok.text for tok in line.tokens).lower().split())} "
+    for position, tokens in enumerate(line_tokens):
+        lowered = " ".join(map(_TEXT, tokens)).lower()
+        if not any(map(lowered.__contains__, heads)):
+            continue
+        text = f" {' '.join(lowered.split())} "
         for phrase in phrases:
             at = text.find(f" {phrase} ")
             if at != -1:
                 # lowercasing keeps whitespace, so each token splits into as many words as above
-                owners = [ti for ti, tok in enumerate(line.tokens) for _ in tok.text.split()]
+                owners = [ti for ti, tok in enumerate(tokens) for _ in tok.text.split()]
                 start = text.count(" ", 0, at)  # words before the hit
                 used = owners[start:start + phrase.count(" ") + 1]
-                contextual = len(line.tokens) - len(set(used))
+                contextual = len(tokens) - len(set(used))
                 if best is None or contextual < best[1]:
                     best = (position, contextual, phrase)
                 break
@@ -131,47 +170,38 @@ def title_style(page: Page, title_position: int) -> str:
     return "INTERMEDIATE"
 
 
-def starts_with_number(line: Line) -> bool:
-    """True iff the first token is a section number like 1, 1.2, or 1.2. (trailing dot ok)."""
-    if not line.tokens:
-        return False
-    return _SECTION_NUMBER_RE.fullmatch(line.tokens[0].text) is not None
-
-
-def trailing_page_number(line: Line, cfg: FeatureConfig) -> int | None:
-    """Integer value of the last token if it is 1..max digits, else None."""
-    if not line.tokens:
-        return None
-    text = line.tokens[-1].text
-    if text.isascii() and text.isdigit() and 1 <= len(text) <= cfg.max_page_number_digits:
-        return int(text)
-    return None
+def _count_lines(ends, flags) -> int:
+    """Number of lines holding a flagged token; flags follow the tokens, ends the lines."""
+    return len(set(map(bisect_right, repeat(ends), compress(count(), flags))))
 
 
 def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVector:
     """Compute the canonical ten-feature vector for one page. Pure function."""
     cfg = cfg or DEFAULT_CONFIG
-    total = len(page.lines) or 1  # an empty page has no counts, so every frequency is 0.0
+    line_tokens = list(map(_TOKENS, page.lines))
+    total = len(line_tokens) or 1  # an empty page has no counts, so every frequency is 0.0
+    tokens = list(chain.from_iterable(line_tokens))
+    texts = list(map(_TEXT, tokens))
 
-    title = find_title_line(page, cfg)
+    title = _title_line(line_tokens, " ".join(texts).lower(), cfg)
     if title is None:
         contains, style, font_class, contextual, position = False, "NA", "NA", 0, 1.0
     else:
         title_position, contextual, _ = title
         contains = True
         style = title_style(page, title_position)
-        font_class = page.lines[title_position].tokens[0].font_family
+        font_class = line_tokens[title_position][0].font_family
         position = title_position / total
 
-    keyword_lines = start_lines = link_lines = 0
-    trailing = []
-    for line in page.lines:
-        keyword_lines += any(tok.text.lower() in cfg.section_keywords for tok in line.tokens)
-        start_lines += starts_with_number(line)
-        link_lines += any(tok.link_target is not None for tok in line.tokens)
-        number = trailing_page_number(line, cfg)
-        if number is not None:
-            trailing.append(number)
+    ends = list(accumulate(map(len, line_tokens)))  # token i lies on line bisect_right(ends, i)
+    keyword_lines = _count_lines(ends, map(cfg.section_keywords.__contains__, map(str.lower, texts)))
+    link_lines = _count_lines(ends, map(is_not, map(_LINK, tokens), repeat(None)))
+    filled = list(filter(None, line_tokens))
+    start_lines = sum(map(bool, map(_SECTION_NUMBER_RE.fullmatch,
+                                    map(_TEXT, map(itemgetter(0), filled)))))
+    digits = cfg.max_page_number_digits
+    trailing = [int(text) for text in map(_TEXT, map(itemgetter(-1), filled))
+                if text.isascii() and text.isdigit() and len(text) <= digits]
     return FeatureVector(
         contains_title_term=contains,
         title_term_style=style,
@@ -181,7 +211,7 @@ def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVec
         title_term_line_position=position,
         line_start_number_frequency=start_lines / total,
         line_end_number_frequency=len(trailing) / total,
-        numbers_ascending=all(a <= b for a, b in zip(trailing, trailing[1:])),
+        numbers_ascending=all(map(le, trailing, trailing[1:])),
         outgoing_link_frequency=link_lines / total,
     )
 

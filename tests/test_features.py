@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tocdetect import dataset as dataset_mod
 from tocdetect.cli import load_feature_config
@@ -10,9 +10,7 @@ from tocdetect.features import (
     FeatureVector,
     extract_features,
     find_title_line,
-    starts_with_number,
     title_style,
-    trailing_page_number,
     write_feature_csv,
 )
 from tocdetect.schema import ClassLabel
@@ -159,7 +157,7 @@ def test_style_matches_max_and_mode_oracle(size_lines, data):
     assert title_style(p, title) == expected
 
 
-# -- line number heuristics ---------------------------------------------------
+# -- line number heuristics, on one-line pages ----------------------------------
 
 @pytest.mark.parametrize(
     "first,expected",
@@ -168,11 +166,31 @@ def test_style_matches_max_and_mode_oracle(size_lines, data):
      ("\u0661.\u0662", False), ("1_0", False)],
 )
 def test_starts_with_number(first, expected):
-    assert starts_with_number(line([first, "rest"], 0)) is expected
+    fv = extract_features(page([[first, "rest"]]), CFG)
+    assert fv.line_start_number_frequency == (1.0 if expected else 0.0)
 
 
 def test_starts_with_number_empty_line():
-    assert starts_with_number(Line(tokens=(), index=0)) is False
+    p = Page(index=1, lines=(Line(tokens=(), index=0),))
+    assert extract_features(p, CFG).line_start_number_frequency == 0.0
+
+
+def _trailing_number(last, cfg):
+    """The page number read from a one-line page ending in `last`, or None if none is read.
+
+    The value shows through numbers_ascending: a following line ending in the value
+    keeps the numbers ascending, and one ending in the value less one does not.
+    """
+    fv = extract_features(page([["Title", last]]), cfg)
+    assert fv.line_end_number_frequency in (0.0, 1.0)
+    if fv.line_end_number_frequency == 0.0:
+        return None
+    value = int(last)
+    assert extract_features(page([["Title", last], ["t", str(value)]]), cfg).numbers_ascending
+    if value > 1:
+        assert not extract_features(page([["Title", last], ["t", str(value - 1)]]),
+                                    cfg).numbers_ascending
+    return value
 
 
 @pytest.mark.parametrize(
@@ -180,13 +198,13 @@ def test_starts_with_number_empty_line():
     [("14", 14), ("1234", 1234), ("12345", None), ("14.", None), ("xiv", None)],
 )
 def test_trailing_page_number(last, expected):
-    assert trailing_page_number(line(["Title", last], 0), CFG) == expected
+    assert _trailing_number(last, CFG) == expected
 
 
 def test_trailing_page_number_respects_digit_cap():
     cfg = FeatureConfig(max_page_number_digits=2)
-    assert trailing_page_number(line(["t", "99"], 0), cfg) == 99
-    assert trailing_page_number(line(["t", "100"], 0), cfg) is None
+    assert _trailing_number("99", cfg) == 99
+    assert _trailing_number("100", cfg) is None
 
 
 # -- FeatureConfig -------------------------------------------------------------
@@ -341,7 +359,11 @@ _VECTOR_WORDS = st.sampled_from([
     "Contents", "table", "of", "CONTENTS", "Chapter", "SECTION", "index", "\u0130ndex",
     "\u0130", "\u00df", "SS", "\u03a3", "\u0391\u03a3", "\u03b1\u03c2",
     "1", "1.", "1.2", "1.2.", "1..2", ".", "12", "0007", "123456", "\u0663", "x",
+    # keywords and title words inside longer words: substring tests pass, whole words do not
+    "parts", "indexes", "Chapters", "tables", "CONTENTSX", "xof",
 ])
+# as _SPACES, and line breaks inside a token
+_VECTOR_SPACES = st.sampled_from([" ", "\u00a0", "\u2003", "\t", "  ", "\n", "\t\n"])
 _STYLE = {
     "font_size": st.sampled_from([0.0, 10.0, 12.0, 18.0]),
     "font_family": st.sampled_from(["unknown", "Times New Roman", "\u00df"]),
@@ -353,23 +375,38 @@ _vector_tokens = st.one_of(
         lambda words, seps, pad, **style: tok(
             pad + "".join(w + s for w, s in zip(words, seps)).rstrip() + pad, **style),
         st.lists(_VECTOR_WORDS, min_size=1, max_size=3),
-        st.lists(_SPACES, min_size=3, max_size=3), st.sampled_from(["", " ", "\t"]), **_STYLE),
+        st.lists(_VECTOR_SPACES, min_size=3, max_size=3), st.sampled_from(["", " ", "\t", "\n"]),
+        **_STYLE),
     st.builds(tok, st.sampled_from(["3", "3", "12", "0007", "123456", "\u0663", "1.2."]), **_STYLE),
 )
+_vector_lines = st.lists(_vector_tokens, max_size=5)
+# a title phrase's first word ends one line and its other words start the next, or a final
+# capital sigma ends a line that a letter follows
+_split_title = st.builds(
+    lambda before, head, rest, after: [before + [tok(head)], [tok(rest)] + after],
+    _vector_lines, st.sampled_from(["Table", "table of", "\u0391\u03a3"]),
+    st.sampled_from(["of Contents", "CONTENT", "of\u00a0contents", "x"]), _vector_lines,
+)
+# lines, empty lines among them, and split titles: at most 12 lines
+_vector_pages = st.lists(
+    st.one_of(_vector_lines.map(lambda tokens: [tokens]), st.just([[]]), _split_title),
+    max_size=6,
+).map(lambda blocks: [tokens for block in blocks for tokens in block])
 _vector_configs = st.builds(
     FeatureConfig,
     title_terms=_title_configs.map(lambda cfg: cfg.title_terms),
-    section_keywords=st.sets(st.sampled_from(["chapter", "Section", " INDEX ", "\u0130",
+    section_keywords=st.sets(st.sampled_from(["chapter", "Section", " INDEX ", "\u0130", "part",
                                               "ss", "\u03c3", "teil 2"]), min_size=1),
     max_page_number_digits=st.integers(1, 5),
 )
 
 
 @settings(max_examples=300)
-@given(st.lists(st.lists(_vector_tokens, max_size=5), max_size=6), st.data(), _vector_configs)
-def test_features_match_naive_reference(specs, data, cfg):
+@given(_vector_pages, st.lists(st.integers(0, 9), min_size=12, max_size=12), _vector_configs)
+# a final capital sigma lowercases to "\u03c2" alone on its line, to "\u03c3" before a letter
+@example([[tok("\u0391\u03a3")], [tok("x")]], [0] * 12, FeatureConfig(title_terms=("\u03b1\u03c2",)))
+def test_features_match_naive_reference(specs, indexes, cfg):
     # Line.index values are drawn apart from positions, which both sides must ignore
-    indexes = data.draw(st.lists(st.integers(0, 9), min_size=len(specs), max_size=len(specs)))
     p = Page(index=1, lines=tuple(Line(tokens=tuple(t), index=i) for t, i in zip(specs, indexes)))
     assert extract_features(p, cfg).as_dict() == reference_features(p, cfg)
 
