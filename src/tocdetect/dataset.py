@@ -49,8 +49,14 @@ class Dataset(Frozen):
         self._set(columns, tuple(checked))  # values as check_value returns them
 
 
-def _records(text: str):
-    reader = csv.reader(io.StringIO(text))
+def _lines(data: bytes):
+    """The lines of io.StringIO(data.decode("utf-8-sig")): split only at "\n", each keeping it.
+    They are decoded a block at a time, where io.StringIO copies the text at 4 bytes a character."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
+
+
+def _records(data: bytes):
+    reader = csv.reader(_lines(data))
     try:
         yield from reader
     except csv.Error as exc:
@@ -59,12 +65,16 @@ def _records(text: str):
 
 def load_csv(data: bytes) -> Dataset:
     """Parse dataset CSV bytes; raises UnknownColumn / MissingLabelColumn /
-    DataTypeError / EmptyDataset, or DatasetError for bytes that are not UTF-8 CSV."""
-    try:
-        text = data.decode("utf-8-sig")
+    DataTypeError / EmptyDataset, or DatasetError for bytes that are not UTF-8 CSV.
+
+    The CSV is read line by line from the bytes, with no whole copy of its text. Rows with equal
+    cell texts (the page column aside) are one tuple in the Dataset, read once."""
+    try:  # the whole input before any line, so that this error wins; ASCII is UTF-8 as it is
+        if not data.isascii():
+            data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DatasetError(f"CSV is not UTF-8: {exc}") from exc
-    reader = _records(text)
+    reader = _records(data)
     header = next(reader, None)
     if header is None:
         raise EmptyDataset("no header row")
@@ -83,15 +93,19 @@ def load_csv(data: bytes) -> Dataset:
     # once. The first failed check is raised only once the whole file has parsed, so an error
     # in reading any cell, label or row wins, as when every cell was parsed before any check.
     checked = [{} for _ in feature_cols]  # per column: cell text -> checked value
-    labels, rows, failed = {}, [], None
+    labels, shared, rows, failed = {}, {}, [], None  # shared: row cell texts -> row
     # rows are numbered as data rows (blank lines skipped), as Dataset numbers them
     for r, cells in enumerate(filter(None, reader), start=1):
         if len(cells) != len(header):
             raise UnknownColumn(f"row {r} has {len(cells)} cells for {len(header)} columns")
-        if skip_page:
-            cells = cells[1:]
+        # not rows of equal values: 0.0 == -0.0, but they are different cells
+        key = tuple(cells[1:] if skip_page else cells)
+        row = shared.get(key)
+        if row is not None:
+            rows.append(row)
+            continue
         values = []
-        for name, memo, cell in zip(feature_cols, checked, cells):
+        for name, memo, cell in zip(feature_cols, checked, key):
             value = memo.get(cell)  # no checked value is None
             if value is None:
                 value = schema.parse_value(name, cell, row=r)
@@ -100,10 +114,11 @@ def load_csv(data: bytes) -> Dataset:
                 except DataTypeError as exc:
                     failed = failed or exc
             values.append(value)
-        label = labels.get(cells[-1])
+        label = labels.get(key[-1])
         if label is None:
-            label = labels[cells[-1]] = schema.parse_label(cells[-1], row=r)
-        rows.append((tuple(values), label))
+            label = labels[key[-1]] = schema.parse_label(key[-1], row=r)
+        row = shared[key] = (tuple(values), label)
+        rows.append(row)
     if not rows:
         raise EmptyDataset("CSV contains a header but no data rows")
     if failed:

@@ -1,9 +1,18 @@
+import io
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tocdetect.dataset import Dataset, load_csv, table1_csv_bytes, table1_fixture, write_csv
+from tocdetect.dataset import (
+    Dataset,
+    _lines,
+    load_csv,
+    table1_csv_bytes,
+    table1_fixture,
+    write_csv,
+)
 from tocdetect.errors import (
     DataTypeError,
     EmptyDataset,
@@ -135,6 +144,47 @@ def test_duplicate_rows_allowed():
     assert len(data.rows) == 2
 
 
+def test_rows_with_equal_cells_are_one_tuple():
+    data = load_csv(b"page,contains_title_term,label\n1,YES,TOC\n2,NO,TOC\n3,YES,TOC\n")
+    assert data.rows[0] is data.rows[2] and data.rows[0] is not data.rows[1]
+
+
+def test_rows_of_equal_values_in_other_cells_are_kept_apart():
+    data = load_csv(b"section_term_frequency,label\n0.0,TOC\n-0.0,TOC\n")
+    assert repr([values for values, _ in data.rows]) == "[(0.0,), (-0.0,)]"
+    assert write_csv(data) == b"section_term_frequency,label\n0.0,TOC\n-0.0,TOC\n"
+
+
+# characters that end a line for str.splitlines but not for io.StringIO, with ones that do
+_LINE_TEXT = st.text(st.sampled_from("a,\"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff\x00")
+                     | st.characters())
+
+
+@given(_LINE_TEXT, st.booleans())
+def test_lines_are_those_of_stringio(text, bom):
+    data = ("\ufeff" if bom else "").encode() + text.encode("utf-8")
+    assert list(_lines(data)) == list(io.StringIO(data.decode("utf-8-sig")))
+
+
+def test_load_csv_holds_no_copy_of_the_text():
+    # about 1 MB in 20 000 rows of four distinct rows: io.StringIO's copy of the text takes
+    # 4 bytes a character, and 20 000 unshared row tuples take about 4 MB
+    header = ",".join([*CANONICAL_COLUMNS, "label"])
+    rows = [f"{bool_},LARGEST,SANS,{i},0.5,0.25,0.5,0.75,YES,0.0,{label}"
+            for i, (bool_, label) in enumerate([("YES", "TOC"), ("NO", "TOC"), ("YES", "NON-TOC"),
+                                                ("NO", "NON-TOC")])]
+    data = "\n".join([header, *rows * 5000, ""]).encode()
+    assert 900_000 < len(data) < 1_100_000
+    tracemalloc.start()
+    try:
+        loaded = load_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.rows) == 20_000
+    assert peak < 3 * len(data)
+
+
 def test_dataset_rejects_duplicate_columns():
     with pytest.raises(UnknownColumn):
         Dataset(columns=("contains_title_term", "contains_title_term"),
@@ -185,12 +235,12 @@ _VALUES = {
 def _library_rows(draw):
     columns = tuple(draw(st.lists(st.sampled_from(list(CANONICAL_COLUMNS)),
                                   min_size=1, max_size=4, unique=True)))
-    rows = tuple(
+    rows = [
         (tuple(draw(_VALUES[CANONICAL_COLUMNS[c]]) for c in columns),
          draw(st.sampled_from(ClassLabel)))
         for _ in range(draw(st.integers(1, 6)))
-    )
-    return columns, rows
+    ]
+    return columns, tuple(rows + draw(st.lists(st.sampled_from(rows), max_size=4)))  # repeats
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,6 +253,10 @@ def test_library_dataset_is_rejected_or_round_trips(columns_rows):
         data = Dataset(columns=columns, rows=rows)
     except DataTypeError:
         return
-    assert load_csv(write_csv(data)) == data
+    loaded = load_csv(write_csv(data))
+    assert loaded == data
+    first = {}  # rows that write equal cells, as repr tells them apart
+    for row in loaded.rows:
+        assert first.setdefault(repr(row), row) is row
     model = learn(data)
     assert load_model(save_model(model)) == model

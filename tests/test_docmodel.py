@@ -259,13 +259,14 @@ _token_st = st.builds(
 
 @st.composite
 def _documents(draw):
+    repeated = st.sampled_from(draw(st.lists(_token_st, min_size=1, max_size=3)))
     n_pages = draw(st.integers(1, 4))
     pages = []
     index = 0
     for _ in range(n_pages):
         index += draw(st.integers(1, 3))
         lines = tuple(
-            Line(tokens=tuple(draw(st.lists(_token_st, max_size=4))), index=i)
+            Line(tokens=tuple(draw(st.lists(_token_st | repeated, max_size=4))), index=i)
             for i in range(draw(st.integers(0, 4)))
         )
         pages.append(Page(index=index, lines=lines))
@@ -286,6 +287,18 @@ def test_parsed_tokens_satisfy_invariants(doc):
             for token in ln.tokens:
                 assert token.text == token.text.strip() and token.text
                 assert token.font_size >= 0.0
+
+
+@given(_documents())
+def test_tokens_with_equal_fields_are_one_object(doc):
+    reparsed = parse_document(write_document_xml(doc))
+    first = {}
+    for p in reparsed.pages:
+        for ln in p.lines:
+            for token in ln.tokens:
+                # repr tells 0.0 from -0.0, which write_document_xml writes apart
+                fields = tuple(map(repr, token._values()))
+                assert first.setdefault(fields, token) is token
 
 
 # -- parity with the ElementTree parser kept in tests/helpers.py -------------------

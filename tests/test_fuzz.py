@@ -51,6 +51,8 @@ _XML = _COMMON + [
 _CSV = _COMMON + [name.encode() for name in CANONICAL_COLUMNS] + [
     b"page", b"label", b"YES", b"NO", b"TOC", b"NON-TOC", b"LARGEST", b"Times New Roman",
     b"0.5", b'"', b'"a\nb"',
+    # line breaks to str.splitlines, not to io.StringIO, whose lines the CSV reader gets
+    b"\x0b", b"\x0c", b"\x1c", b"\xc2\x85", b"\xe2\x80\xa8",
 ]
 
 _CONFIG = _COMMON + [
@@ -108,6 +110,8 @@ def test_parse_document_arbitrary_bytes(data):
 @example(b"section_term_frequency,label\n1.5,TOC\nabc,TOC\n")  # a parse error after a range error
 @example(b"section_term_frequency,contextual_term_count,label\n0.5,-1,TOC\n1.5,-2,TOC\n")
 @example(b"contextual_term_count,section_term_frequency,label\n1,0.5,TOC\n0.5,1,TOC\n")
+@example(b'contains_title_term,label\nYES,TOC\n"NO,TOC')  # a quote open at the end of input
+@example(b"contains_title_term,label\nYES,TOC\x0bNO,TOC\xe2\x80\xa8\n\xc2\x85YES,TOC")
 def test_load_csv_arbitrary_bytes(data):
     # the same Dataset, or the same error, as parsing every cell and then checking every value
     assert _csv_outcome(load_csv, data) == _csv_outcome(reference_load_csv, data)
