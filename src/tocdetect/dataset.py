@@ -67,8 +67,9 @@ def load_csv(data: bytes) -> Dataset:
     """Parse dataset CSV bytes; raises UnknownColumn / MissingLabelColumn /
     DataTypeError / EmptyDataset, or DatasetError for bytes that are not UTF-8 CSV.
 
-    The CSV is read line by line from the bytes, with no whole copy of its text. Rows with equal
-    cell texts (the page column aside) are one tuple in the Dataset, read once."""
+    The CSV is read line by line from the bytes. ASCII input is never held as a whole text;
+    other input is decoded whole once, and dropped, to check that it is UTF-8 before any line
+    is read, then decoded again a block at a time as its lines are read."""
     try:  # the whole input before any line, so that this error wins; ASCII is UTF-8 as it is
         if not data.isascii():
             data.decode("utf-8-sig")
@@ -93,19 +94,15 @@ def load_csv(data: bytes) -> Dataset:
     # once. The first failed check is raised only once the whole file has parsed, so an error
     # in reading any cell, label or row wins, as when every cell was parsed before any check.
     checked = [{} for _ in feature_cols]  # per column: cell text -> checked value
-    labels, shared, rows, failed = {}, {}, [], None  # shared: row cell texts -> row
+    labels, rows, failed = {}, [], None
     # rows are numbered as data rows (blank lines skipped), as Dataset numbers them
     for r, cells in enumerate(filter(None, reader), start=1):
         if len(cells) != len(header):
             raise UnknownColumn(f"row {r} has {len(cells)} cells for {len(header)} columns")
-        # not rows of equal values: 0.0 == -0.0, but they are different cells
-        key = tuple(cells[1:] if skip_page else cells)
-        row = shared.get(key)
-        if row is not None:
-            rows.append(row)
-            continue
+        if skip_page:
+            cells = cells[1:]
         values = []
-        for name, memo, cell in zip(feature_cols, checked, key):
+        for name, memo, cell in zip(feature_cols, checked, cells):
             value = memo.get(cell)  # no checked value is None
             if value is None:
                 value = schema.parse_value(name, cell, row=r)
@@ -114,11 +111,10 @@ def load_csv(data: bytes) -> Dataset:
                 except DataTypeError as exc:
                     failed = failed or exc
             values.append(value)
-        label = labels.get(key[-1])
+        label = labels.get(cells[-1])
         if label is None:
-            label = labels[key[-1]] = schema.parse_label(key[-1], row=r)
-        row = shared[key] = (tuple(values), label)
-        rows.append(row)
+            label = labels[cells[-1]] = schema.parse_label(cells[-1], row=r)
+        rows.append((tuple(values), label))
     if not rows:
         raise EmptyDataset("CSV contains a header but no data rows")
     if failed:

@@ -24,11 +24,9 @@ and to its end, so the whole input is never held and a pipe will do.
 
 Equal tokens are shared within a document: tokens with equal text and the
 same attributes, as written, are one Token object, so treat every Token as
-read-only. A repeated token is found with one lookup of its text and its
-attributes, in the order written. Tokens with the same attributes hold one
-font, size and link. Each distinct attribute set is checked once; every
-token still gets its own warnings and its empty-text check. The model holds
-no reference cycles.
+read-only. Tokens with the same attributes hold one font, size and link.
+Each distinct attribute set is checked once; every token still gets its own
+warnings and its empty-text check. The model holds no reference cycles.
 """
 
 from __future__ import annotations
@@ -97,11 +95,6 @@ def _et_name(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _attr_dict(attrs) -> dict:
-    """An element's attributes as expat gives them with ordered_attributes, as a dict."""
-    return dict(zip(attrs[::2], attrs[1::2]))
-
-
 def _check_token_attrs(attrs: dict, where: str) -> tuple:
     """(font, size, bold, italic, link) from a <token>'s attributes; raises SchemaViolation."""
     raw_size = attrs.get("size", "0.0")
@@ -128,13 +121,10 @@ def parse_document(source) -> DocumentModel:
     while len(head) < 3 and (more := fh.read(3 - len(head))):  # a pipe may return fewer
         head += more
     pages, lines, tokens, chunks, warnings = [], [], [], [], []
-    # token attributes -> (unknown names, font, size, bold, italic, link);
-    # (text, token attributes) -> (Token, its attributes' entry in checked)
-    checked, shared = {}, {}
+    checked, shared = {}, {}  # token attributes -> their checked values; (text, attrs) -> Token
     doc_id = token_attrs = violation = None  # token_attrs: the open <token>'s, None elsewhere
     depth = prev_index = child = 0  # child: 1-based among the open <line>'s elements
     parser = expat.ParserCreate(namespace_separator="}")  # set up as ElementTree.fromstring sets it
-    parser.ordered_attributes = True  # attrs as [name, value, ...]: a key as written, with no dict
 
     def path(level):  # of the open page (2), line (3) or token (4)
         steps = "document", f"page[{len(pages) + 1}]", f"line[{len(lines) + 1}]", f"token[{child}]"
@@ -152,7 +142,7 @@ def parse_document(source) -> DocumentModel:
         try:
             if depth == 4:  # a child of <line>
                 child += 1
-                token_attrs = tuple(attrs) if name == "token" else None
+                token_attrs = attrs if name == "token" else None
                 if token_attrs is None:
                     warnings.append(("%s: ignoring unknown element <%s>", path(3), _et_name(name)))
                 chunks.clear()
@@ -162,13 +152,13 @@ def parse_document(source) -> DocumentModel:
                 name = _et_name(name)
                 if name != "document":
                     raise SchemaViolation(f"root element is <{name}>, expected <document>", name)
-                doc_id = _attr_dict(attrs).get("id")
+                doc_id = attrs.get("id")
                 if doc_id is None:
                     raise SchemaViolation("missing id attribute", "document")
             elif depth < 4 and name != ("page" if depth == 2 else "line"):
                 raise SchemaViolation(f"unexpected element <{_et_name(name)}>", path(depth))
             elif depth == 2:
-                raw_index = _attr_dict(attrs).get("index")
+                raw_index = attrs.get("index")
                 if raw_index is None:
                     raise SchemaViolation("missing index attribute", path(2))
                 try:
@@ -186,25 +176,24 @@ def parse_document(source) -> DocumentModel:
         nonlocal depth, child
         depth -= 1
         if depth == 3 and token_attrs is not None:  # </token>
-            text = "".join(chunks).strip()
-            # a repeated token costs one lookup; a token seen before has non-empty text
-            token, known = shared.get((text, token_attrs)) or (None, checked.get(token_attrs))
-            unknown = known[0] if known else [_et_name(a) for a in token_attrs[::2]
+            key = tuple(token_attrs.items())
+            known = checked.get(key)  # (unknown names, font, size, bold, italic, link)
+            unknown = known[0] if known else [_et_name(a) for a in token_attrs
                                               if a not in _TOKEN_ATTRS]
             for attr in unknown:
                 warnings.append(("%s: ignoring unknown attribute %r", path(4), attr))
+            text = "".join(chunks).strip()
+            try:
+                if not text:
+                    raise SchemaViolation("token has empty text", path(4))
+                if known is None:
+                    known = checked[key] = (unknown, *_check_token_attrs(token_attrs, path(4)))
+            except SchemaViolation as exc:
+                stop_checking(exc)
+                return
+            token = shared.get((text, key))
             if token is None:
-                try:
-                    if not text:
-                        raise SchemaViolation("token has empty text", path(4))
-                    if known is None:
-                        known = checked[token_attrs] = (
-                            unknown, *_check_token_attrs(_attr_dict(token_attrs), path(4)))
-                except SchemaViolation as exc:
-                    stop_checking(exc)
-                    return
-                token = Token(text, *known[1:])
-                shared[text, token_attrs] = token, known
+                token = shared[text, key] = Token(text, *known[1:])
             tokens.append(token)
         elif depth == 2:  # </line>
             lines.append(Line(tokens=tuple(tokens), index=len(lines)))
