@@ -123,15 +123,20 @@ def load_csv(data: bytes) -> Dataset:
     return dataset
 
 
-def write_csv(data: Dataset) -> bytes:
-    """Serialize a Dataset; load_csv(write_csv(d)) == d."""
+def _write_csv_rows(header: list[str], rows) -> bytes:
+    """UTF-8 CSV bytes of a header and rows of cell texts, each line ended by "\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*data.columns, "label"])
-    for values, label in data.rows:
-        cells = [schema.format_value(name, value) for name, value in zip(data.columns, values)]
-        writer.writerow([*cells, str(label)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def write_csv(data: Dataset) -> bytes:
+    """Serialize a Dataset; load_csv(write_csv(d)) == d."""
+    rows = ([*map(schema.format_value, data.columns, values), str(label)]
+            for values, label in data.rows)
+    return _write_csv_rows([*data.columns, "label"], rows)
 
 
 def table1_csv_bytes() -> bytes:

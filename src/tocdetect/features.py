@@ -6,22 +6,20 @@ and outgoing-link frequency. Frequencies and the title line's position
 (from 0) are divided by the page's total line count (empty lines
 included). A line is taken by its position in `page.lines`, not `Line.index`.
 
-A page is read as flat columns, not line by line: its token texts in
-reading order, one list, and beside it each line's running token-count
-end, so token i lies on line `bisect_right(ends, i)`. Keyword and link
-lines are counted from per-token flags made by C-level `map` passes:
-each flagged position is mapped to its line, and the distinct lines are
-counted. Section and page numbers are read from the lists of each
-non-empty line's first and last token texts. The title search runs only
-where a configured phrase's first word occurs in the lowercased text, of
-the page and then of the line; `find_title_line` says why that skips no
-match.
+A page is read as flat columns, not line by line: its tokens in reading
+order, one list, and beside it each line's running token-count end, so
+token i lies on line `bisect_right(ends, i)`. Keyword and link lines are
+counted from per-token flags made by C-level `map` passes: each flagged
+position is mapped to its line, and the distinct lines are counted.
+Section and page numbers are read from the lists of each non-empty
+line's first and last token texts. The title search runs only where a
+configured phrase's first word occurs in the lowercased text, of the
+page and then of the line; `_title_line` says why that skips no match.
+The title style reads the same tokens; `dataset` writes feature CSVs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from bisect import bisect_right
 from collections import Counter
@@ -30,6 +28,7 @@ from operator import attrgetter, is_not, itemgetter, le
 from typing import TYPE_CHECKING
 
 from . import schema
+from .dataset import _write_csv_rows
 from .errors import MixedLabeling
 from .record import Frozen
 from .schema import ClassLabel
@@ -100,8 +99,9 @@ class FeatureVector(Frozen):
         return {name: getattr(self, name) for name in schema.CANONICAL_COLUMNS}
 
 
-def find_title_line(page: Page, cfg: FeatureConfig):
-    """Locate the best title-term line on a page.
+def _title_line(line_tokens, page_text: str, cfg: FeatureConfig):
+    """Locate the best title-term line on a page, from its columns: each line's tokens, and all
+    the page's token texts joined by spaces and lowercased.
 
     A line is a candidate if its token texts, joined, lowercased once and
     re-joined as single-spaced words with a space at each end, contain
@@ -109,27 +109,18 @@ def find_title_line(page: Page, cfg: FeatureConfig):
     and the spaces before the hit count the words before it. Longer phrases
     are tried first per line, equal lengths in config order. The contextual
     count is the number of the line's tokens outside the matched phrase.
-    Returns (line position, contextual_count, matched_phrase) for the
-    candidate with the fewest contextual tokens (ties: earliest line), or None.
+    Returns (line position, contextual_count) for the candidate with the
+    fewest contextual tokens (ties: earliest line), or None.
 
     Only lines that can hold a phrase are normalised and searched. A match
     puts the phrase's first word, whole, among the whitespace-free words of
     the line's lowercased text, so that text contains the word. So does the
-    text of all the page's tokens, joined by spaces and lowercased in one
-    call: lowercasing a line's characters reads no context beyond the space
-    that joins it to the next line, as Python's final-sigma rule looks past
-    case-ignorable characters only and a space is not one. A page whose
+    page text: lowercasing a line's characters reads no context beyond the
+    space that joins it to the next line, as Python's final-sigma rule looks
+    past case-ignorable characters only and a space is not one. A page whose
     lowercased text holds no first word, and a line whose lowercased text
     holds none, are skipped with nothing lost.
     """
-    line_tokens = list(map(_TOKENS, page.lines))
-    page_text = " ".join(map(_TEXT, chain.from_iterable(line_tokens))).lower()
-    return _title_line(line_tokens, page_text, cfg)
-
-
-def _title_line(line_tokens, page_text: str, cfg: FeatureConfig):
-    """find_title_line on a page's columns: each line's tokens, and all token texts joined by
-    spaces and lowercased."""
     heads = {phrase.partition(" ")[0] for phrase in cfg.title_terms}  # each phrase's first word
     if not any(map(page_text.__contains__, heads)):
         return None
@@ -149,20 +140,20 @@ def _title_line(line_tokens, page_text: str, cfg: FeatureConfig):
                 used = owners[start:start + phrase.count(" ") + 1]
                 contextual = len(tokens) - len(set(used))
                 if best is None or contextual < best[1]:
-                    best = (position, contextual, phrase)
+                    best = (position, contextual)
                 break
     return best
 
 
-def title_style(page: Page, title_position: int) -> str:
+def _title_style(tokens, title_tokens) -> str:
     """Size rank of the title line: LARGEST, MOST_FREQUENT, or INTERMEDIATE.
 
-    Compares the max token size of the line at `title_position` against the
-    page-wide max and the page-wide modal size (mode by token count; tied
+    Compares the max size of the title line's tokens against the max and
+    the modal size of all the page's tokens (mode by token count; tied
     modes resolve to the largest size). Sizes compare by exact equality.
     """
-    counts = Counter(tok.font_size for ln in page.lines for tok in ln.tokens)
-    s = max(tok.font_size for tok in page.lines[title_position].tokens)
+    counts = Counter(map(attrgetter("font_size"), tokens))
+    s = max(tok.font_size for tok in title_tokens)
     if s == max(counts):
         return "LARGEST"
     if s == max(counts, key=lambda size: (counts[size], size)):
@@ -187,9 +178,9 @@ def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVec
     if title is None:
         contains, style, font_class, contextual, position = False, "NA", "NA", 0, 1.0
     else:
-        title_position, contextual, _ = title
+        title_position, contextual = title
         contains = True
-        style = title_style(page, title_position)
+        style = _title_style(tokens, line_tokens[title_position])
         font_class = line_tokens[title_position][0].font_family
         position = title_position / total
 
@@ -226,19 +217,14 @@ def write_feature_csv(rows) -> bytes:
     labeled = sum(label is not None for _, _, label in rows)
     if labeled and labeled != len(rows):
         raise MixedLabeling(f"{labeled} of {len(rows)} rows carry labels")
-    with_label = labeled > 0
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["page", *schema.CANONICAL_COLUMNS]
-    if with_label:
+    if labeled:
         header.append("label")
-    writer.writerow(header)
+    body = []
     for page_id, vector, label in rows:
-        values = vector.as_dict()
         cells = [str(page_id)]
-        cells += [schema.format_value(name, values[name]) for name in schema.CANONICAL_COLUMNS]
-        if with_label:
+        cells += [schema.format_value(name, value) for name, value in vector.as_dict().items()]
+        if labeled:
             cells.append(str(ClassLabel(label)))
-        writer.writerow(cells)
-    return buf.getvalue().encode("utf-8")
+        body.append(cells)
+    return _write_csv_rows(header, body)

@@ -128,8 +128,9 @@ def detect(
 
     Features are extracted with the feature config the model was trained with.
     """
-    if not 0 < prefix_fraction <= 1:
-        raise ValueError(f"prefix_fraction {prefix_fraction} outside (0, 1]")
+    # True passes the range check as 1, but scan_count cannot read "True"
+    if isinstance(prefix_fraction, bool) or not 0 < prefix_fraction <= 1:
+        raise ValueError(f"prefix_fraction must be a number in (0, 1], got {prefix_fraction!r}")
     pages = doc.pages[: scan_count(len(doc.pages), prefix_fraction)]
     toc_pages = []
     for page in pages:

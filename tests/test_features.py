@@ -1,16 +1,16 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tocdetect import dataset as dataset_mod
+from tocdetect import dataset as dataset_mod, schema
 from tocdetect.cli import load_feature_config
 from tocdetect.docmodel import Line, Page, Token
 from tocdetect.errors import MixedLabeling
 from tocdetect.features import (
     FeatureConfig,
     FeatureVector,
+    _title_line,
+    _title_style,
     extract_features,
-    find_title_line,
-    title_style,
     write_feature_csv,
 )
 from tocdetect.schema import ClassLabel
@@ -22,11 +22,22 @@ from helpers import (
 CFG = FeatureConfig()
 
 
-# -- find_title_line ---------------------------------------------------------
+def title_line(p, cfg):
+    """_title_line on a page's columns, built as extract_features builds them."""
+    line_tokens = [ln.tokens for ln in p.lines]
+    return _title_line(line_tokens, " ".join(t.text for ts in line_tokens for t in ts).lower(), cfg)
+
+
+def title_style(p, position):
+    """_title_style of the line at a position, among all the page's tokens."""
+    return _title_style([t for ln in p.lines for t in ln.tokens], p.lines[position].tokens)
+
+
+# -- title line search ---------------------------------------------------------
 
 def test_title_line_exact():
     p = page([["Table", "of", "Contents"]])
-    assert find_title_line(p, CFG) == (0, 0, "table of contents")
+    assert title_line(p, CFG) == (0, 0)
 
 
 def test_title_line_prefers_fewest_contextual_tokens():
@@ -34,48 +45,48 @@ def test_title_line_prefers_fewest_contextual_tokens():
         ["Chapter", "2", "Contents", "of", "the", "cell"],
         ["Contents"],
     ])
-    index, contextual, phrase = find_title_line(p, CFG)
-    assert (index, contextual) == (1, 0)
-    assert phrase in ("contents", "content")
+    assert title_line(p, CFG) == (1, 0)
 
 
 def test_title_line_contextual_count_is_uncovered_tokens():
     p = page([["Chapter", "2", "Contents", "of", "the", "cell"]])
-    index, contextual, phrase = find_title_line(p, CFG)
-    assert index == 0
-    assert phrase == "contents"
-    assert contextual == 5  # six tokens, one covered by the matched phrase
+    assert title_line(p, CFG) == (0, 5)  # six tokens, one covered by the matched phrase
 
 
 def test_title_line_absent():
-    assert find_title_line(page([["no", "match", "here"]]), CFG) is None
+    assert title_line(page([["no", "match", "here"]]), CFG) is None
 
 
 def test_title_line_case_insensitive():
-    assert find_title_line(page([["CONTENTS"]]), CFG) == (0, 0, "contents")
+    assert title_line(page([["CONTENTS"]]), CFG) == (0, 0)
 
 
 def test_title_line_equal_length_phrases_keep_config_order():
     p = page([["Index", "Inhalt"]])
-    assert find_title_line(p, FeatureConfig(title_terms=("inhalt", "index")))[2] == "inhalt"
-    assert find_title_line(p, FeatureConfig(title_terms=("index", "inhalt")))[2] == "index"
+    assert title_line(p, FeatureConfig(title_terms=("inhalt", "index"))) == (0, 1)
+    assert title_line(p, FeatureConfig(title_terms=("index", "inhalt"))) == (0, 1)
+    # "table of" covers the first token only, "of contents" both: the first in order is taken
+    p = page([["Table of", "Contents"]])
+    fv = extract_features(p, FeatureConfig(title_terms=("table of", "of contents")))
+    assert fv.contextual_term_count == 1
+    fv = extract_features(p, FeatureConfig(title_terms=("of contents", "table of")))
+    assert fv.contextual_term_count == 0
 
 
 def test_title_line_tie_breaks_to_earlier_line():
     p = page([["Contents"], ["Contents"]])
-    assert find_title_line(p, CFG)[0] == 0
+    assert title_line(p, CFG)[0] == 0
 
 
 def test_longest_phrase_matched_first():
     p = page([["Table", "of", "Contents"]])
-    _, contextual, phrase = find_title_line(p, CFG)
-    assert phrase == "table of contents" and contextual == 0
+    assert title_line(p, CFG) == (0, 0)  # "contents" alone would leave two contextual tokens
 
 
 @given(st.booleans(), st.booleans(), st.sampled_from(["contents", "CONTENTS", "Contents"]))
 def test_title_line_ignores_case_and_style_flags(bold, italic, text):
     p = page([[tok(text, bold=bold, italic=italic)]])
-    assert find_title_line(p, CFG) == (0, 0, "contents")
+    assert title_line(p, CFG) == (0, 0)
 
 
 # words that change under lower(), overlap each other or match the terms below
@@ -105,10 +116,11 @@ def test_title_line_matches_word_window_oracle(specs, data, cfg):
     # Line.index values are shuffled: both finders read positions, so the indexes must not matter
     order = data.draw(st.permutations(range(len(specs))))
     p = Page(index=1, lines=tuple(Line(tokens=tuple(t), index=i) for t, i in zip(specs, order)))
-    assert find_title_line(p, cfg) == brute_force_title_line(p, cfg)
+    expected = brute_force_title_line(p, cfg)
+    assert title_line(p, cfg) == (expected[:2] if expected else None)
 
 
-# -- title_style -------------------------------------------------------------
+# -- title style -------------------------------------------------------------
 
 def _styled_page(title_size, other_sizes):
     lines = [[tok("Contents", font_size=title_size)]]
@@ -450,3 +462,42 @@ def test_feature_csv_round_trips_through_dataset_loader():
     contains = loaded.columns.index("contains_title_term")
     assert loaded.rows[0][0][contains] is True
     assert loaded.rows[1][0][contains] is False
+
+
+# font classes that need quoting, or that a spreadsheet would read as a formula or a comment
+_font_classes = st.builds(
+    str.__add__,
+    st.sampled_from(["", "=", "#"]),
+    st.text(st.sampled_from([",", '"', "\r", "\n", "\ufeff", " ", "a", "\u00e9", "\u03a3",
+                             "\u00df"])
+            | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=8),
+).filter(schema.normalize_categorical)  # a blank font class is read as "unknown" by the parser
+_fractions = st.floats(0.0, 1.0)
+_feature_vectors = st.builds(
+    FeatureVector,
+    contains_title_term=st.booleans(),
+    title_term_style=st.sampled_from(schema.STYLE_LEVELS),
+    title_term_font_class=_font_classes,
+    contextual_term_count=st.integers(0, 2**53),
+    section_term_frequency=_fractions,
+    title_term_line_position=_fractions,
+    line_start_number_frequency=_fractions,
+    line_end_number_frequency=_fractions,
+    numbers_ascending=st.booleans(),
+    outgoing_link_frequency=_fractions,
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), _feature_vectors, st.sampled_from(ClassLabel)),
+                min_size=1, max_size=6))
+@example([(1, FeatureVector(True, "LARGEST", '=Sans,"Bold"\r\n\ufeff\u00e9', 0, 0.0, 0.0, 0.0,
+                            0.0, True, 0.0), ClassLabel.TOC),
+          (2, FeatureVector(False, "NA", "#x", 3, 1.0, 1.0, 0.5, 0.25, False, 1.0),
+           ClassLabel.NON_TOC)])
+def test_feature_csv_round_trips_every_cell(rows):
+    loaded = dataset_mod.load_csv(write_feature_csv(rows))
+    assert loaded.columns == tuple(schema.CANONICAL_COLUMNS)
+    assert loaded.rows == tuple(
+        (tuple(schema.check_value(name, value) for name, value in vector.as_dict().items()), label)
+        for _, vector, label in rows)

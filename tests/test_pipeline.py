@@ -62,6 +62,9 @@ def test_detect_rejects_bad_fraction():
         detect(plain_doc(2), constant_model(NON), prefix_fraction=1.5)
     with pytest.raises(ValueError):
         detect(plain_doc(2), constant_model(NON), prefix_fraction=0.0)
+    # True == 1 passes the range check, but is no fraction: detect's own check rejects it
+    with pytest.raises(ValueError, match=r"must be a number in \(0, 1\], got True"):
+        detect(plain_doc(2), constant_model(NON), prefix_fraction=True)
 
 
 def test_detect_matches_normalized_font_class_branch():
