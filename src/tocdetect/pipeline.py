@@ -128,8 +128,9 @@ def detect(
 
     Features are extracted with the feature config the model was trained with.
     """
-    # True passes the range check as 1, but scan_count cannot read "True"
-    if isinstance(prefix_fraction, bool) or not 0 < prefix_fraction <= 1:
+    # a bool is an int, but scan_count cannot read "True"; other numbers do not serialize
+    if (isinstance(prefix_fraction, bool) or not isinstance(prefix_fraction, (int, float))
+            or not 0 < prefix_fraction <= 1):
         raise ValueError(f"prefix_fraction must be a number in (0, 1], got {prefix_fraction!r}")
     pages = doc.pages[: scan_count(len(doc.pages), prefix_fraction)]
     toc_pages = []
@@ -174,6 +175,6 @@ def leave_one_out(
         raise EmptyDataset("leave-one-out needs at least 2 rows")
     table = _Table(data, max_depth, min_rows)  # the folds share it: a fold is its row positions
     positions = list(range(len(data.rows)))
-    return _tally((gold, _build(table, positions[:i] + positions[i + 1:], data.columns, 0,
-                                only=i).label)
+    return _tally((gold, _build(table, positions[:i] + positions[i + 1:], list(table.columns),
+                                0, only=i).label)
                   for i, (_, gold) in enumerate(data.rows))

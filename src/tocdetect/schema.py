@@ -43,14 +43,6 @@ CANONICAL_COLUMNS = {
     "outgoing_link_frequency": Kind.REAL,
 }
 
-_CANONICAL_INDEX = {name: i for i, name in enumerate(CANONICAL_COLUMNS)}
-
-
-def canonical_index(name: str) -> int:
-    """Position of a column in the canonical order (tie-break key for splits)."""
-    return _CANONICAL_INDEX[name]
-
-
 def is_numeric(kind: Kind) -> bool:
     return kind in (Kind.INT, Kind.REAL)
 

@@ -3,8 +3,9 @@
 Splits are chosen by information gain (Shannon entropy, base 2).
 Categorical and boolean columns split multiway by value; numeric columns
 split binary at midpoints between consecutive distinct values. Everything
-is deterministic: ties resolve by gain, then canonical column order, then
-smaller threshold; leaf-label ties resolve to TOC. No pruning.
+is deterministic: among equal gains the search keeps the first it meets, in
+canonical column order, then ascending threshold; leaf-label ties resolve to
+TOC. No pruning.
 
 Every node is one Node: its counts and, for a split, its feature, threshold
 (None for a categorical split) and branches, key -> child. A leaf has no
@@ -111,8 +112,8 @@ class _Entropies(dict):
 
 class _Table:
     """A Dataset's rows as a tree grows from them: column -> checked value of each row, by
-    position, and whether each row is TOC, with the limits every node of the tree obeys.
-    Nodes hold row positions, so leave-one-out's folds share one table."""
+    position, in canonical column order, and whether each row is TOC, with the limits every
+    node of the tree obeys. Nodes hold row positions, so leave-one-out's folds share one table."""
 
     def __init__(self, data: Dataset, max_depth: int | None, min_rows: int):
         if min_rows < 1:
@@ -121,7 +122,8 @@ class _Table:
             raise ValueError("max_depth must be >= 1")
         self.max_depth, self.min_rows = max_depth or math.inf, min_rows  # None: no depth limit
         values = zip(*(values for values, _ in data.rows))
-        self.columns = {column: list(next(values, ())) for column in data.columns}
+        columns = {column: list(next(values, ())) for column in data.columns}
+        self.columns = {c: columns[c] for c in schema.CANONICAL_COLUMNS if c in columns}
         self.is_toc = [label is ClassLabel.TOC for _, label in data.rows]
         self.entropies = _Entropies()
 
@@ -129,7 +131,9 @@ class _Table:
 def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
     """(feature, threshold) of the highest-gain split over columns of the table's rows at
     positions rows, of which those at toc are TOC; threshold None for a categorical split, and
-    None if no gain > 0. Ties break by canonical column order, then by smaller threshold.
+    None if no gain > 0. A candidate replaces the best only with a strictly higher gain, so
+    among equal gains the first one searched wins: columns are searched in the order given
+    (canonical, as the table holds them), and a numeric column's cuts in ascending order.
 
     A categorical column's one candidate counts its levels' rows and TOC rows with two
     Counters and adds the groups' weighted entropies left to right in sorted order: checked
@@ -138,13 +142,12 @@ def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
     numeric column's cuts are the midpoints (lo + hi) / 2 of its sorted distinct values; one
     loop bisects the node's sorted values, and its TOC rows', at each cut to count the rows
     <= it (hi's too, where a cut rounds up to hi), and scores it parent - (le + gt), each side
-    (n / total) * entropy. A cut replaces the column's best only with a strictly higher gain,
-    so among equal gains the smaller threshold wins. Entropies are memoized by count pair.
+    (n / total) * entropy. Entropies are memoized by count pair.
     """
     total, n_toc = len(rows), len(toc)
     parent = entropy((n_toc, total - n_toc))
     entropies = table.entropies
-    best = best_key = None
+    best, best_gain = None, 0.0
     for column in columns:
         value_of = table.columns[column].__getitem__
         if not schema.is_numeric(schema.CANONICAL_COLUMNS[column]):
@@ -156,25 +159,22 @@ def _search(table, rows, toc, columns) -> Optional[tuple[str, Optional[float]]]:
             for v in sorted(counts):  # a fixed order, so row permutations cannot perturb it
                 weighted += counts[v] / total * entropies[tocs[v], counts[v]]
             gain = parent - weighted
-            threshold = None
-        else:
-            values = sorted(map(value_of, rows))
-            distinct = sorted(set(values))  # 1 and 1.0 are one value
-            if len(distinct) < 2:
-                continue
-            toc_values = sorted(map(value_of, toc))
-            gain = -math.inf
-            for lo, hi in zip(distinct, distinct[1:]):
-                cut = (lo + hi) / 2
-                le = bisect_right(values, cut)
-                le_toc = bisect_right(toc_values, cut)
-                cut_gain = parent - (le / total * entropies[le_toc, le]
-                                     + (total - le) / total * entropies[n_toc - le_toc, total - le])
-                if cut_gain > gain:
-                    gain, threshold = cut_gain, cut
-        key = (-gain, schema.canonical_index(column), -math.inf if threshold is None else threshold)
-        if gain > 0 and (best_key is None or key < best_key):
-            best, best_key = (column, threshold), key
+            if gain > best_gain:
+                best, best_gain = (column, None), gain
+            continue
+        values = sorted(map(value_of, rows))
+        distinct = sorted(set(values))  # 1 and 1.0 are one value
+        if len(distinct) < 2:
+            continue
+        toc_values = sorted(map(value_of, toc))
+        for lo, hi in zip(distinct, distinct[1:]):
+            cut = (lo + hi) / 2
+            le = bisect_right(values, cut)
+            le_toc = bisect_right(toc_values, cut)
+            gain = parent - (le / total * entropies[le_toc, le]
+                             + (total - le) / total * entropies[n_toc - le_toc, total - le])
+            if gain > best_gain:
+                best, best_gain = (column, cut), gain
     return best
 
 
@@ -238,8 +238,8 @@ def learn(
     """Induce a decision tree from a labeled dataset. Deterministic; DatasetError if too deep."""
     if not data.rows:
         raise EmptyDataset("cannot learn from an empty dataset")
-    root = _build(_Table(data, max_depth, min_rows), list(range(len(data.rows))),
-                  list(data.columns), 0)
+    table = _Table(data, max_depth, min_rows)
+    root = _build(table, list(range(len(data.rows))), list(table.columns), 0)
     config = config or DEFAULT_CONFIG
     return TrainedModel(root=root, columns=tuple(data.columns), config_echo=config)
 
@@ -396,8 +396,6 @@ def _node_from_json(obj, columns) -> Node:
                 _node_from_json(child, columns)
             for key, child in body["branches"].items()
         }
-        if not branches:
-            raise CorruptModel(f"categorical node on {feature!r} has no branches")
     children = branches.values()
     counts = (sum(c.counts[0] for c in children), sum(c.counts[1] for c in children))
     return Node(counts, feature, threshold, branches)

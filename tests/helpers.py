@@ -26,7 +26,6 @@ from tocdetect.schema import (
     CANONICAL_COLUMNS,
     ClassLabel,
     Kind,
-    canonical_index,
     format_value,
     is_numeric,
     parse_label,
@@ -35,6 +34,10 @@ from tocdetect.schema import (
 )
 
 log = logging.getLogger("tocdetect.docmodel")  # the reference parser warns where docmodel does
+
+# a column's place in the canonical order: the oracles' explicit tie key after gain, kept
+# apart from the order the grower searches columns in
+_CANONICAL_POSITION = {name: i for i, name in enumerate(CANONICAL_COLUMNS)}
 
 
 # "billion laughs": nine levels of ten-fold entity references inside one token
@@ -140,7 +143,7 @@ def brute_force_best_split(rows, columns):
         return None
     return min(
         positive,
-        key=lambda c: (-c[2], canonical_index(c[0]), c[1] if c[1] is not None else -math.inf),
+        key=lambda c: (-c[2], _CANONICAL_POSITION[c[0]], c[1] if c[1] is not None else -math.inf),
     )
 
 
@@ -475,7 +478,7 @@ def reference_best_split(rows, columns):
     for column in columns:
         for t, parts in _reference_candidates(rows, column):
             gain = parent - add_left_to_right(sum(c) / total * tree.entropy(c) for c in parts)
-            key = (-gain, canonical_index(column), -math.inf if t is None else t)
+            key = (-gain, _CANONICAL_POSITION[column], -math.inf if t is None else t)
             if gain > 0 and (best_key is None or key < best_key):
                 best, best_key = (column, t), key
     return best

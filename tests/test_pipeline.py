@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -65,6 +66,10 @@ def test_detect_rejects_bad_fraction():
     # True == 1 passes the range check, but is no fraction: detect's own check rejects it
     with pytest.raises(ValueError, match=r"must be a number in \(0, 1\], got True"):
         detect(plain_doc(2), constant_model(NON), prefix_fraction=True)
+    # only int and float: a str cannot be compared, and these do not serialize as JSON
+    for bad in ("0.5", Fraction(1, 3), Decimal("0.3")):
+        with pytest.raises(ValueError, match=r"must be a number in \(0, 1\], got "):
+            detect(plain_doc(2), constant_model(NON), prefix_fraction=bad)
 
 
 def test_detect_matches_normalized_font_class_branch():

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -305,6 +307,41 @@ def test_exports_deterministic():
     assert len({save_model(m) for m in runs}) == 1
 
 
+def _noisy_twins_dataset():
+    """300 rows from random.Random(30): every column, in reverse canonical order, so each
+    canonically later twin (a copy of another column, whose gains tie with it) comes first;
+    TOC by a rule of four columns, with about 15% of the labels flipped."""
+    rng = random.Random(30)
+    columns = tuple(reversed(schema.CANONICAL_COLUMNS))
+    rows = []
+    for _ in range(300):
+        v = {
+            "contains_title_term": rng.random() < 0.5,
+            "title_term_style": rng.choice(schema.STYLE_LEVELS),
+            "title_term_font_class": rng.choice(["SERIF", "SANS", "MONO"]),
+            "contextual_term_count": rng.randrange(6),
+            "section_term_frequency": rng.randrange(9) / 8,
+            "line_start_number_frequency": rng.randrange(11) / 10,
+            "line_end_number_frequency": rng.randrange(21) / 20,
+            "outgoing_link_frequency": rng.randrange(5) / 4,
+        }
+        v["numbers_ascending"] = v["contains_title_term"]
+        v["title_term_line_position"] = v["section_term_frequency"]
+        toc = v["line_end_number_frequency"] > 0.4 and (
+            v["contains_title_term"] or v["contextual_term_count"] >= 3
+            or v["title_term_style"] == "LARGEST")
+        if rng.random() < 0.15:
+            toc = not toc
+        rows.append((tuple(v[c] for c in columns), TOC if toc else NON))
+    return Dataset(columns=columns, rows=tuple(rows))
+
+
+def test_noisy_twins_model_matches_golden():
+    # a tree of many ties, pinned byte for byte on every supported Python
+    golden = Path(__file__).parent / "goldens" / "noisy_twins_model.json"
+    assert save_model(learn(_noisy_twins_dataset())) == golden.read_bytes()
+
+
 # -- serialization ---------------------------------------------------------------
 
 def test_save_load_save_fixpoint():
@@ -506,13 +543,16 @@ _GROWER_VALUES = {
 @st.composite
 def _grower_data(draw):
     columns = draw(st.lists(st.sampled_from(sorted(_GROWER_VALUES)), min_size=1, unique=True))
-    twins = draw(st.booleans())  # twin columns split alike, so their gains tie
+    # twin columns split alike, so their gains tie; "first" puts each twin before its
+    # canonically earlier original, so dataset order and canonical order disagree on the tie
+    twins = draw(st.sampled_from([None, "last", "first"]))
     rows = []
     for _ in range(draw(st.integers(2, 24))):
         values = {c: draw(_GROWER_VALUES[c]) for c in columns}
         if twins:
-            values["numbers_ascending"] = values.get("contains_title_term", False)
-            values["title_term_line_position"] = values.get("section_term_frequency", 0.5)
+            pair = {"numbers_ascending": values.get("contains_title_term", False),
+                    "title_term_line_position": values.get("section_term_frequency", 0.5)}
+            values = {**values, **pair} if twins == "last" else {**pair, **values, **pair}
         rows.append((tuple(values.values()), draw(st.sampled_from([TOC, NON]))))
     limits = draw(st.fixed_dictionaries({}, optional={
         "max_depth": st.integers(1, 5), "min_rows": st.integers(1, 4)}))
