@@ -179,7 +179,7 @@ def _write_output(payload: bytes, out_path: str | None):
                 fh.write(payload)
             os.replace(tmp, target)
         except BaseException:
-            if os.path.exists(tmp):
+            if os.path.exists(tmp):  # gone if an interrupt came after os.replace returned
                 os.unlink(tmp)
             raise
     except OSError as exc:  # name the user's path, not the temp file's

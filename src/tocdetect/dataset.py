@@ -82,12 +82,8 @@ def load_csv(data: bytes) -> Dataset:
     header = [cell.strip() for cell in header]
     if not header or header[-1] != "label":
         raise MissingLabelColumn("last column must be 'label'")
-    feature_cols = header[:-1]
-    if feature_cols and feature_cols[0] == "page":
-        skip_page = True
-        feature_cols = feature_cols[1:]
-    else:
-        skip_page = False
+    skip_page = header[:1] == ["page"]
+    feature_cols = header[skip_page:-1]
     dataset = Dataset(columns=tuple(feature_cols), rows=())  # column rules, before cells are read
 
     # Columns repeat a few values, so each distinct cell text of a column is parsed and checked

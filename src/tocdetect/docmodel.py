@@ -204,7 +204,7 @@ def parse_document(source) -> DocumentModel:
             lines.clear()
 
     def undefined_entity(data):  # how ElementTree hears of a reference expat could not expand
-        if data.startswith("&") and len(data) >= 2:
+        if data.startswith("&"):  # text, "&" from CDATA or a reference too, goes to chunks
             name = data.encode()[:100].decode(errors="replace")  # ElementTree's 100-byte cut
             raise MalformedXml(f"undefined entity {name}: line {parser.CurrentLineNumber}, "
                                f"column {parser.CurrentColumnNumber}")

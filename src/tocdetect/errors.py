@@ -76,6 +76,9 @@ class MissingFeature(TocDetectError):
         super().__init__(f"no value supplied for feature {column!r}")
         self.column = column
 
+    def __reduce__(self):  # args holds the message, not the column this class is built from
+        return type(self), (self.column,)
+
 
 class ModelError(TocDetectError):
     code = "model-error"

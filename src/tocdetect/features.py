@@ -5,6 +5,7 @@ section-keyword and line-number frequencies, ascending-page-number check,
 and outgoing-link frequency. Frequencies and the title line's position
 (from 0) are divided by the page's total line count (empty lines
 included). A line is taken by its position in `page.lines`, not `Line.index`.
+Values are in `check_value`'s form, but for the title font: the page's name, checked.
 
 A page is read as flat columns, not line by line: its tokens in reading
 order, one list, and beside it each line's running token-count end, so
@@ -15,7 +16,6 @@ Section and page numbers are read from the lists of each non-empty
 line's first and last token texts. The title search runs only where a
 configured phrase's first word occurs in the lowercased text, of the
 page and then of the line; `_title_line` says why that skips no match.
-The title style reads the same tokens; `dataset` writes feature CSVs.
 """
 
 from __future__ import annotations
@@ -176,12 +176,12 @@ def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVec
 
     title = _title_line(line_tokens, " ".join(texts).lower(), cfg)
     if title is None:
-        contains, style, font_class, contextual, position = False, "NA", "NA", 0, 1.0
+        style, font_class, contextual, position = "NA", "NA", 0, 1.0
     else:
         title_position, contextual = title
-        contains = True
         style = _title_style(tokens, line_tokens[title_position])
         font_class = line_tokens[title_position][0].font_family
+        schema.check_value("title_term_font_class", font_class)  # a blank or non-str font raises
         position = title_position / total
 
     ends = list(accumulate(map(len, line_tokens)))  # token i lies on line bisect_right(ends, i)
@@ -194,7 +194,7 @@ def extract_features(page: Page, cfg: FeatureConfig | None = None) -> FeatureVec
     trailing = [int(text) for text in map(_TEXT, map(itemgetter(-1), filled))
                 if text.isascii() and text.isdigit() and len(text) <= digits]
     return FeatureVector(
-        contains_title_term=contains,
+        contains_title_term=title is not None,
         title_term_style=style,
         title_term_font_class=font_class,
         contextual_term_count=contextual,

@@ -1,11 +1,10 @@
 """Document scanning and model evaluation.
 
-detect() classifies the leading fraction of a document's pages with
-classify(), which checks every value. evaluate() and leave_one_out() tally
-confusion matrices (TOC positive) on a Dataset's rows, taken as checked.
-leave_one_out() grows each fold's tree only along the held-out row's path.
-The page model is imported for type checking alone, so evaluating a CSV never
-loads the XML parser.
+detect() walks the tree with the values extraction checked, the title font normalized, for
+the leading fraction of a document's pages. evaluate() and leave_one_out() tally confusion
+matrices (TOC positive) on a Dataset's rows, taken as checked. leave_one_out() grows each
+fold's tree only along the held-out row's path. The page model is imported for type
+checking alone, so evaluating a CSV never loads the XML parser.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from .dataset import Dataset
 from .errors import ColumnMismatch, EmptyDataset
 from .features import extract_features
 from .record import Frozen
-from .schema import ClassLabel
-from .tree import TrainedModel, _build, _Table, _walk, classify
+from .schema import ClassLabel, normalize_categorical
+from .tree import TrainedModel, _build, _Table, _walk
 
 if TYPE_CHECKING:
     from .docmodel import DocumentModel
@@ -135,7 +134,10 @@ def detect(
     pages = doc.pages[: scan_count(len(doc.pages), prefix_fraction)]
     toc_pages = []
     for page in pages:
-        label, counts = classify(model, extract_features(page, model.config_echo).as_dict())
+        values = extract_features(page, model.config_echo).as_dict()
+        # the font is the one value kept raw; the tree matches its normalized level
+        values["title_term_font_class"] = normalize_categorical(values["title_term_font_class"])
+        label, counts = _walk(model.root, values)
         if label is ClassLabel.TOC:
             toc_pages.append((page.index, counts))
     return DetectionResult(

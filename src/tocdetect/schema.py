@@ -49,8 +49,7 @@ def is_numeric(kind: Kind) -> bool:
 
 def normalize_categorical(text: str) -> str:
     """Uppercase a categorical level, mapping hyphens and spaces to underscores."""
-    out = "_".join(text.strip().upper().replace("-", "_").split())
-    return out
+    return "_".join(text.strip().upper().replace("-", "_").split())
 
 
 def parse_number(text: str, kind=int):

@@ -140,6 +140,14 @@ def test_eval_loo(fixture_csv, capsys):
     assert cells["tp"] + cells["fp"] + cells["fn"] + cells["tn"] == 10
 
 
+def test_eval_loo_min_rows_changes_the_report(fixture_csv, capsys):
+    # a node splits only with 2 * min_rows rows, so at --min-rows 5 each 9-row fold is one TOC leaf
+    assert run(["eval", "--loo", str(fixture_csv), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["confusion"] == {"tp": 6, "fp": 2, "fn": 2, "tn": 0}
+    assert run(["eval", "--loo", str(fixture_csv), "--min-rows", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["confusion"] == {"tp": 8, "fp": 2, "fn": 0, "tn": 0}
+
+
 def test_eval_loo_rejects_two_paths(fixture_csv, model_file, capsys):
     assert run(["eval", "--loo", str(model_file), str(fixture_csv)]) == 1
 
@@ -406,11 +414,14 @@ def test_predict_text_format_is_default(tmp_path, model_file, capsys):
     )
 
 
-def test_predict_prefix_out_of_range_exit_1(tmp_path, model_file, capsys):
+@pytest.mark.parametrize("prefix", ["1.5", "0", "-0.5"])
+def test_predict_prefix_out_of_range_exit_1(tmp_path, model_file, capsys, prefix):
     xml = tmp_path / "book.xml"
     xml.write_bytes(MINIMAL_XML)
-    assert run(["predict", str(model_file), str(xml), "--prefix", "1.5"]) == 1
-    assert "prefix" in capsys.readouterr().err
+    capsys.readouterr()
+    assert run(["predict", str(model_file), str(xml), "--prefix", prefix]) == 1
+    assert _error_line(capsys) == (
+        f"tocdetect: error[usage]: --prefix must be in (0, 1], got {float(prefix)}\n")
 
 
 def test_predict_entity_bomb_exit_2(tmp_path, model_file, capsys):

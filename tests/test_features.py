@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from tocdetect import dataset as dataset_mod, schema
 from tocdetect.cli import load_feature_config
 from tocdetect.docmodel import Line, Page, Token
-from tocdetect.errors import MixedLabeling
+from tocdetect.errors import DataTypeError, MixedLabeling
 from tocdetect.features import (
     FeatureConfig,
     FeatureVector,
@@ -279,6 +279,18 @@ def test_canonical_toc_page_features():
     assert fv.outgoing_link_frequency == 0.0
 
 
+@pytest.mark.parametrize("font", ["", " \t", None], ids=["empty", "blank", "none"])
+def test_blank_title_font_is_rejected_at_extraction(font):
+    # the parser reads a blank font as "unknown"; a hand-built page fails where it is read
+    with pytest.raises(DataTypeError) as exc:
+        extract_features(page([[tok("Contents", font_family=font)], ["1.", "Intro", "3"]]), CFG)
+    assert exc.value.column == "title_term_font_class"
+    assert "title_term_font_class" in str(exc.value)
+    # a font that no title line starts with is never read
+    prose = page([[tok("prose", font_family=font)], [tok("Contents"), tok("x", font_family=font)]])
+    assert extract_features(prose, CFG).title_term_font_class == "unknown"
+
+
 def test_descending_numbers_page():
     p = page([["a", "5"], ["b", "3"], ["c", "9"]])
     fv = extract_features(p, CFG)
@@ -487,6 +499,19 @@ _feature_vectors = st.builds(
     numbers_ascending=st.booleans(),
     outgoing_link_frequency=_fractions,
 )
+
+
+@given(st.one_of(_font_classes, st.text().filter(schema.normalize_categorical)))
+@example("Times New Roman")
+@example(" courier-New\t")
+@example("\u00df")
+def test_checked_font_writes_the_same_cell(font):
+    # detect normalizes the raw font that extraction checked: that is check_value's level, and a
+    # vector holding either one writes the same CSV cell
+    level = schema.check_value("title_term_font_class", font)
+    assert schema.normalize_categorical(font) == level
+    assert (schema.format_value("title_term_font_class", level)
+            == schema.format_value("title_term_font_class", font))
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), _feature_vectors, st.sampled_from(ClassLabel)),

@@ -73,7 +73,8 @@ def test_detect_rejects_bad_fraction():
 
 
 def test_detect_matches_normalized_font_class_branch():
-    # extraction keeps the raw font name; the CSV-trained branch key is normalized
+    # extraction keeps the raw font name, "Times New Roman"; detect normalizes it to match the
+    # CSV-trained branch key
     data = load_csv(b"title_term_font_class,label\nTIMES_NEW_ROMAN,TOC\nARIAL,NON-TOC\n")
     result = detect(doc([canonical_toc_page()]), learn(data), prefix_fraction=1.0)
     assert result.toc_pages == ((1, (1, 0)),)
@@ -159,6 +160,15 @@ def test_report_text_rendering():
     text = evaluate(constant_model(TOC), table1_fixture()).to_text()
     assert "accuracy  0.8000" in text
     assert "recall    1.0000" in text
+
+
+def test_empty_report_reads_zero():
+    # evaluate never builds one, but the class is public
+    report = EvaluationReport(0, 0, 0, 0)
+    assert (report.accuracy, report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0, 0.0)
+    assert report.to_json_dict() == {"confusion": {"tp": 0, "fp": 0, "fn": 0, "tn": 0},
+                                     "accuracy": 0.0, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+    assert "accuracy  0.0000" in report.to_text()
 
 
 # -- leave_one_out -----------------------------------------------------------------
@@ -393,3 +403,39 @@ def test_train_and_predict_see_the_same_features_and_config(document, cfg, data)
                    if classify(model, dict(zip(loaded.columns, values)))[0] is TOC]
     detected = detect(parsed, model, prefix_fraction=1.0)
     assert [index for index, _ in detected.toc_pages] == trained_toc
+
+
+# -- detect walks extraction's values ----------------------------------------------
+
+# training rows take the page fonts' spellings, and others of the same levels, so font
+# branches match page fonts in every spelling
+_MODEL_VALUES = {
+    **_VALUES,
+    "title_term_font_class": st.sampled_from(_FONTS + ["TIMES_NEW_ROMAN", "Times-New-Roman",
+                                                       "SS", "Courier New"]),
+    "title_term_style": st.sampled_from(schema.STYLE_LEVELS),
+    "title_term_line_position": st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    "line_end_number_frequency": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+}
+
+
+@st.composite
+def _models(draw):
+    columns = draw(st.lists(st.sampled_from(sorted(_MODEL_VALUES)), min_size=1, max_size=4,
+                            unique=True))
+    rows = draw(st.lists(st.tuples(st.tuples(*(_MODEL_VALUES[c] for c in columns)),
+                                   st.sampled_from([TOC, NON])), min_size=1, max_size=12))
+    return learn(Dataset(columns=tuple(columns), rows=tuple(rows)), config=draw(_configs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents, _models())
+@example(doc([canonical_toc_page(), page([["Contents"]], index=2)]),
+         learn(load_csv(b"title_term_font_class,label\nTIMES-new roman,TOC\nunknown,NON-TOC\n")))
+def test_detect_gives_what_classify_gives_for_extracted_values(document, model):
+    expected = []
+    for p in document.pages:
+        label, counts = classify(model, extract_features(p, model.config_echo).as_dict())
+        if label is TOC:
+            expected.append((p.index, counts))
+    assert detect(document, model, prefix_fraction=1.0).toc_pages == tuple(expected)

@@ -1,5 +1,6 @@
 """The record classes' contract: constructors, equality, repr, immutability, hashing, slots,
-pickling, and the checks and normalization FeatureConfig and Dataset apply."""
+pickling, and the checks and normalization FeatureConfig and Dataset apply; and the errors'
+pickling and copying."""
 
 import copy
 import pickle
@@ -8,7 +9,13 @@ import pytest
 
 from tocdetect.dataset import Dataset
 from tocdetect.docmodel import DocumentModel, Line, Page, Token
-from tocdetect.errors import DataTypeError, UnknownColumn
+from tocdetect.errors import (
+    CorruptModel,
+    DataTypeError,
+    MissingFeature,
+    SchemaViolation,
+    UnknownColumn,
+)
 from tocdetect.features import (
     DEFAULT_SECTION_KEYWORDS,
     DEFAULT_TITLE_TERMS,
@@ -160,3 +167,24 @@ def test_dataset_checks_and_normalizes():
         Dataset(columns=("numbers_ascending",), rows=(((True,), "TOC"),))
     with pytest.raises(DataTypeError):
         Dataset(columns=("contextual_term_count",), rows=(((-1,), TOC),))
+
+
+# an error built with its message only is how BaseException rebuilds one from its args
+@pytest.mark.parametrize("error", [
+    SchemaViolation("unexpected element <i>", "document/page[1]/line[1]/token[1]"),
+    SchemaViolation("document/page[1]: unexpected element <i>"),
+    DataTypeError("expected YES/NO, got 'maybe'", row=3, column="contains_title_term"),
+    DataTypeError("row 3, column 'contains_title_term': expected YES/NO, got 'maybe'"),
+    MissingFeature("title_term_style"),
+    CorruptModel("not a model file"),
+], ids=["schema-violation", "schema-violation-message", "data-type-error",
+        "data-type-error-message", "missing-feature", "corrupt-model"])
+@pytest.mark.parametrize("duplicate", [
+    lambda error: pickle.loads(pickle.dumps(error)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_errors_survive_pickling_and_copying(error, duplicate):
+    twin = duplicate(error)
+    assert type(twin) is type(error)
+    assert str(twin) == str(error)
+    assert twin.args == error.args
+    assert vars(twin) == vars(error)
